@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--config", help="config.json path")
     source.add_argument("--profile", choices=("desk", "paper"),
                         help="built-in configuration; 'paper' uses the 5000-round "
-                             "truncation and a dense grid and runs far longer")
+                             "truncation and a dense grid")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--svg", action="store_true", help="also write a V-E scatter SVG")
@@ -133,8 +133,6 @@ def _cmd_sweep(args) -> int:
         cfg = experiment.load_config(args.config)
     elif args.profile == "paper":
         cfg = experiment.PAPER_PROFILE
-        print("paper profile: 5000-round truncation over a step-10 grid; "
-              "expect a long run", file=sys.stderr)
     else:
         cfg = experiment.DESK_PROFILE
     if args.seed is not None:

@@ -117,7 +117,10 @@ def worker_count(replicas: int) -> int:
     """Workers to use: the CRMGG_THREADS cap, else min(cpus, replicas)."""
     env = os.environ.get(THREADS_ENV)
     if env is not None:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
         if cap < 1:
             raise ParameterError(f"{THREADS_ENV} must be >= 1, got {env}")
         return min(cap, replicas)
@@ -205,6 +208,8 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         sub = classify(results[replica][0],
                        lower_q=cfg.fit_lower_q, upper_q=cfg.fit_upper_q)
         replica_type_i[replica] = sub.fits["I"]
+        if sub.fits["I"] is None:
+            report.notes[f"I_replica{replica}"] = sub.notes["I"]
 
     save_config(cfg, out / "config.json")
     _write_sweep_csv(rows, out / "sweep.csv")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .fileio import open_text_sink
 from .measures import AtomicMeasure, ParameterError
-from .rng import derive_key, keyed_uniforms, philox
+from .rng import derive_key, pair_uniforms, philox, row_keys
 
 __all__ = [
     "MultiGraph",
@@ -48,6 +48,11 @@ _EXACT_MAX_ROUNDS = 1000
 # Below exp(-600) the k = 0 binomial pmf underflows; those few near-certain
 # pairs fall back to a per-pair Philox stream instead of the inversion scan.
 _LOG_PMF0_MIN = -600.0
+
+# Kept pairs per block of rows drawn at once.  About a dozen arrays of this
+# length are live per block, so generator memory follows this constant plus
+# the edges, not the number of atom pairs.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -124,8 +129,11 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float,
                   exact_pairs: bool):
     """Enumerate pairs worth drawing, in descending-weight order.
 
-    Returns original-index arrays (i, j) with i < j, their probabilities,
-    and the (skipped pair count, skipped expected-edge mass) accounting.
+    Returns a lazy sequence of blocks of original-index arrays (i, j) with
+    i < j and their probabilities, and the (skipped pair count, skipped
+    expected-edge mass) accounting.  Only the per-atom arrays are global;
+    each block holds the pairs of consecutive rows of the order, so memory
+    follows ``_PAIR_BLOCK`` rather than the number of pairs.
     """
     k = weights.size
     order = np.argsort(-weights, kind="stable")
@@ -150,23 +158,48 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float,
         first_skipped = np.maximum(cut, np.arange(k) + 1)
         skipped_bound = float(n_rounds * (ws * suffix[first_skipped]).sum())
 
-    a = np.repeat(np.arange(k), lens)
-    offsets = np.cumsum(lens) - lens
-    b = np.arange(total_kept) - offsets[a] + a + 1
+    blocks = (_block_pairs(order, ws, lens, start, stop)
+              for start, stop in _row_blocks(lens))
+    return blocks, skipped, skipped_bound
+
+
+def _row_blocks(lens: np.ndarray):
+    """Consecutive row ranges [start, stop) of at most ``_PAIR_BLOCK`` pairs.
+
+    A row longer than the block size forms a block on its own.
+    """
+    ends = np.cumsum(lens)
+    start, done = 0, 0
+    while done < ends[-1]:
+        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        yield start, stop
+        start, done = stop, int(ends[stop - 1])
+
+
+def _block_pairs(order: np.ndarray, ws: np.ndarray, lens: np.ndarray,
+                 start: int, stop: int):
+    """Original-index pairs (i < j) and probabilities of rows start..stop-1.
+
+    Row a of the descending-weight order pairs with sorted positions
+    a+1 .. a+lens[a].
+    """
+    row_lens = lens[start:stop]
+    a = np.repeat(np.arange(start, stop), row_lens)
+    first = np.arange(start + 1, stop + 1) - (np.cumsum(row_lens) - row_lens)
+    b = np.arange(a.size) + np.repeat(first, row_lens)
     oi, oj = order[a], order[b]
     probs = ws[a] * ws[b]
-    lo = np.minimum(oi, oj)
-    hi = np.maximum(oi, oj)
-    return lo, hi, probs, skipped, skipped_bound
+    return np.minimum(oi, oj), np.maximum(oi, oj), probs
 
 
-def _binomial_counts(base_key: int, i: np.ndarray, j: np.ndarray,
-                     n_rounds: int, probs: np.ndarray) -> np.ndarray:
+def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
+                     j: np.ndarray, n_rounds: int, probs: np.ndarray) -> np.ndarray:
     """Exact Binomial(n_rounds, p) count per pair from its keyed stream.
 
-    Counts come from inverse-CDF inversion of one keyed uniform per pair; a
-    pair whose zero-count probability underflows instead draws from its own
-    keyed Philox stream.  Either way the value depends only on
+    Counts come from inverse-CDF inversion of one keyed uniform per pair,
+    finished from the per-atom halves of the keys in ``atom_keys``; a pair
+    whose zero-count probability underflows instead draws from its own keyed
+    Philox stream.  Either way the value depends only on
     (base_key, i, j, n_rounds, p).
     """
     counts = np.zeros(probs.size, dtype=np.int64)
@@ -175,7 +208,7 @@ def _binomial_counts(base_key: int, i: np.ndarray, j: np.ndarray,
 
     log_q0 = n_rounds * np.log1p(-probs)
     big = log_q0 < _LOG_PMF0_MIN
-    u = keyed_uniforms(base_key, i, j)
+    u = pair_uniforms(atom_keys[i], j)
 
     alive = np.flatnonzero((u >= np.exp(log_q0)) & ~big)
     if alive.size:
@@ -207,10 +240,14 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     weights = measure.weights
     if delta_rounds == 0 or weights.size < 2:
         return {}, 0, 0.0
-    i, j, probs, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip, exact_pairs)
-    counts = _binomial_counts(derive_key(seed, epoch), i, j, delta_rounds, probs)
-    nz = np.flatnonzero(counts)
-    edges = {(int(i[t]), int(j[t])): int(counts[t]) for t in nz}
+    blocks, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip, exact_pairs)
+    base_key = derive_key(seed, epoch)
+    atom_keys = row_keys(base_key, weights.size)
+    edges = {}
+    for i, j, probs in blocks:
+        counts = _binomial_counts(base_key, atom_keys, i, j, delta_rounds, probs)
+        nz = np.flatnonzero(counts)
+        edges.update(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
     return edges, skipped, bound
 
 

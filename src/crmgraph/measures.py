@@ -145,7 +145,9 @@ def _round_atoms(params: BetaProcessParams, cfg: StickBreakingConfig,
 
     Stream layout per round: one Poisson count, then the labels, then the
     stick matrix in fixed column blocks, so emitted values never depend on
-    how many blocks were actually needed.
+    how many blocks were actually needed.  Every floor reads the same stream
+    and multiplies the same way, so a positive floor is a pure filter on the
+    floor-0 atoms.
     """
     rng = philox(cfg.seed, round_index)
     count = int(rng.poisson(params.mass))
@@ -154,31 +156,31 @@ def _round_atoms(params: BetaProcessParams, cfg: StickBreakingConfig,
     labels = rng.random(count)
 
     a = 1.0 - params.discount
+    b = params.concentration + params.discount * np.arange(1, round_index + 1,
+                                                           dtype=np.float64)
+    last = (round_index - 1) // _STICK_CHUNK * _STICK_CHUNK  # final block's first column
     if cfg.weight_floor == 0.0:
-        # nothing can be dropped early, so draw the whole stick matrix at once
-        b = params.concentration + params.discount * np.arange(1, round_index + 1,
-                                                               dtype=np.float64)
-        sticks = rng.beta(a, b, size=(count, round_index))
-        weight = (1.0 - sticks[:, :-1]).prod(axis=1) * sticks[:, -1]
-        keep = (weight > 0.0) & (weight < 1.0)
-        return weight[keep], labels[keep]
-
-    prod = np.ones(count)  # running product of (1 - stick) over earlier rounds
-    weight = None
-    start = 1
-    while start <= round_index:
-        stop = min(start + _STICK_CHUNK, round_index + 1)
-        b = params.concentration + params.discount * np.arange(start, stop, dtype=np.float64)
-        sticks = rng.beta(a, b, size=(count, stop - start))
-        if stop == round_index + 1:
-            weight = prod * (1.0 - sticks[:, :-1]).prod(axis=1) * sticks[:, -1]
-            break
-        prod *= (1.0 - sticks).prod(axis=1)
-        start = stop
-        # prod only shrinks from here and the final stick is < 1, so once
-        # every atom is under the floor the whole round is dropped
-        if cfg.weight_floor > 0.0 and prod.max() < cfg.weight_floor:
-            return np.empty(0), np.empty(0)
+        # nothing can be dropped early, so draw every stick in one call, its
+        # parameters laid out in the order the block loop below reads the
+        # stream; the products then associate exactly as in that loop
+        layout = np.empty(count * round_index)
+        head = layout[:count * last].reshape(last // _STICK_CHUNK, count, _STICK_CHUNK)
+        head[...] = b[:last].reshape(-1, 1, _STICK_CHUNK)
+        layout[count * last:].reshape(count, -1)[...] = b[last:]
+        sticks = rng.beta(a, layout)
+        prod = (1.0 - sticks[:head.size].reshape(head.shape)).prod(axis=2).prod(axis=0)
+        sticks = sticks[head.size:].reshape(count, -1)
+    else:
+        prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
+        for start in range(0, last, _STICK_CHUNK):
+            sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
+            prod *= (1.0 - sticks).prod(axis=1)
+            # prod only shrinks from here and the final stick is < 1, so once
+            # every atom is under the floor the whole round is dropped
+            if prod.max() < cfg.weight_floor:
+                return np.empty(0), np.empty(0)
+        sticks = rng.beta(a, b[last:], size=(count, round_index - last))
+    weight = prod * (1.0 - sticks[:, :-1]).prod(axis=1) * sticks[:, -1]
 
     keep = (weight > 0.0) & (weight < 1.0) & (weight >= cfg.weight_floor)
     return weight[keep], labels[keep]

@@ -129,9 +129,11 @@ def fit_loglog(xs, ys, lower_q: float = DEFAULT_LOWER_Q,
         raise FitError(f"only {int(mask.sum())} points in quantile range, need {min_points}")
     lx = np.log10(xs[mask])
     ly = np.log10(ys[mask])
-    sxx = float(((lx - lx.mean()) ** 2).sum())
-    if sxx == 0.0:
+    # equal logs minus their floating mean need not be exactly zero, so test
+    # the values themselves rather than the sum of squared deviations
+    if lx.min() == lx.max():
         raise FitError("x values are constant on the fit range")
+    sxx = float(((lx - lx.mean()) ** 2).sum())
     slope = float(((lx - lx.mean()) * (ly - ly.mean())).sum()) / sxx
     intercept = float(ly.mean() - slope * lx.mean())
     ss_res = float(((ly - (slope * lx + intercept)) ** 2).sum())

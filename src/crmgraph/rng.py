@@ -40,9 +40,28 @@ def derive_key(*fields: int) -> int:
 def mix64_array(x: np.ndarray) -> np.ndarray:
     """Vectorized SplitMix64 finalizer over a uint64 array."""
     x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def row_keys(base_key: int, count: int) -> np.ndarray:
+    """The first half ``mix64(base_key ^ i)`` of the per-item hash, i < count.
+
+    Gathering these by ``i`` and passing them to :func:`pair_uniforms` gives
+    :func:`keyed_uniforms` bit-for-bit, at one hash per row instead of one
+    per item.
+    """
+    return mix64_array(np.uint64(base_key & _MASK64) ^ np.arange(count, dtype=np.uint64))
+
+
+def pair_uniforms(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Finish the per-item hash from gathered row keys: uniforms in [0, 1)."""
+    h = mix64_array(row_key ^ j.astype(np.uint64))
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def keyed_uniforms(base_key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -52,10 +71,8 @@ def keyed_uniforms(base_key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     of the item within the arrays, which is what makes merged results from
     any partitioning of the items identical to a serial pass.
     """
-    h = np.full(i.shape, np.uint64(base_key & _MASK64))
-    h = mix64_array(h ^ i.astype(np.uint64))
-    h = mix64_array(h ^ j.astype(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    h = mix64_array(np.uint64(base_key & _MASK64) ^ i.astype(np.uint64))
+    return pair_uniforms(h, j)
 
 
 def philox(*key_fields: int) -> np.random.Generator:

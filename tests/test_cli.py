@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,9 +197,11 @@ class TestCcdfCommand:
 
 class TestConsoleScript:
     def test_module_entry_point(self):
-        proc = subprocess.run([sys.executable, "-m", "crmgraph.cli"],
-                              capture_output=True, text=True)
-        # bare module import has no __main__ hook; use the installed script
-        script = subprocess.run(["crmgraph", "--help"], capture_output=True, text=True)
+        # runs from the source tree, so no installed console script is needed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = subprocess.run([sys.executable, "-m", "crmgraph", "--help"],
+                                capture_output=True, text=True, env=env)
         assert script.returncode == 0
         assert "measure" in script.stdout

@@ -83,8 +83,23 @@ class TestWorkerCount:
         with pytest.raises(ParameterError):
             worker_count(2)
 
+    @pytest.mark.parametrize("value", ["2.5", "four", ""])
+    def test_non_integer_env_names_variable(self, monkeypatch, value):
+        monkeypatch.setenv(experiment.THREADS_ENV, value)
+        with pytest.raises(ParameterError, match=experiment.THREADS_ENV):
+            worker_count(2)
+
 
 class TestRunSweep:
+    def test_constant_replica_window_gives_note_not_fit(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        # one stick round: a few heavy atoms, all connected from the first N
+        cfg = small_config(tmp_path, rounds=1, n_start=10, n_stop=200, n_step=10, seed=3)
+        result = run_sweep(cfg)
+        assert {s.effective_vertices for r, _, s in result.rows if r == 0} == {5}
+        assert result.replica_type_i[0] is None
+        assert "constant" in result.report.notes["I_replica0"]
+
     def test_outputs_and_schema(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "1")
         cfg = small_config(tmp_path)

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
+from crmgraph import graphs
 from crmgraph.graphs import (BinaryGraph, MultiGraph, _select_pairs, binarize,
                              extend, generate, generate_exact_rounds,
                              read_binarygraph_csv, read_multigraph_csv,
@@ -11,6 +13,7 @@ from crmgraph.graphs import (BinaryGraph, MultiGraph, _select_pairs, binarize,
                              write_multigraph_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, sample_three_param_bp)
+from crmgraph.rng import keyed_uniforms, pair_uniforms, row_keys
 
 
 def measure(*weights):
@@ -23,6 +26,13 @@ THREE = measure(0.6, 0.4, 0.3)
 def sampled_measure(seed=42, rounds=400):
     params = BetaProcessParams(concentration=1.0, discount=0.1, mass=3.0)
     return sample_three_param_bp(params, StickBreakingConfig(rounds=rounds, seed=seed))
+
+
+def selected_pairs(weights, n_rounds, pair_skip, exact_pairs):
+    """All blocks of _select_pairs joined: (i, j, probs, skipped, bound)."""
+    blocks, skipped, bound = _select_pairs(weights, n_rounds, pair_skip, exact_pairs)
+    i, j, probs = (np.concatenate(parts) for parts in zip(*blocks))
+    return i, j, probs, skipped, bound
 
 
 def merged_tail_hist(a, b, min_count=10):
@@ -120,7 +130,7 @@ class TestPairSkipping:
     def test_bound_matches_brute_force(self):
         w = np.array([0.5, 0.2, 0.05, 0.01, 0.002])
         n, skip = 10, 1e-3
-        lo, hi, probs, skipped, bound = _select_pairs(w, n, skip, False)
+        lo, hi, probs, skipped, bound = selected_pairs(w, n, skip, False)
         kept = set(zip(lo.tolist(), hi.tolist()))
         brute = 0.0
         count = 0
@@ -136,7 +146,7 @@ class TestPairSkipping:
 
     def test_exact_pairs_disables_skipping(self):
         w = np.array([0.5, 1e-8, 1e-9])
-        lo, hi, probs, skipped, bound = _select_pairs(w, 10, 1e-3, True)
+        lo, hi, probs, skipped, bound = selected_pairs(w, 10, 1e-3, True)
         assert len(lo) == 3 and skipped == 0 and bound == 0.0
 
     def test_default_bound_is_tiny_on_sampled_measure(self):
@@ -157,6 +167,67 @@ class TestPairSkipping:
         w = m.weights
         for i, j in extra:
             assert n * w[i] * w[j] < pruned.skipped_edge_bound + 1e-12
+
+
+def trajectory_record(m, **kwargs):
+    """Edge items and skip accounting of a generate and a 5-step extend."""
+    one_shot = generate(m, 300, seed=4, **kwargs)
+    state = start_growth(m, 4, **kwargs)
+    for delta in (1, 7, 50, 200, 1000):
+        state = extend(state, delta)
+    return [(list(g.edge_counts.items()), g.skipped_pairs, g.skipped_edge_bound)
+            for g in (one_shot, state.graph)]
+
+
+class TestPairBlocks:
+    CASES = [
+        ("sampled", {}),
+        ("sampled", {"pair_skip": 1e-3}),
+        ("sampled", {"exact_pairs": True}),
+        ("fallback", {}),
+    ]
+
+    @staticmethod
+    def case_measure(name):
+        if name == "fallback":
+            # (0.99, 0.98) underflows the k = 0 pmf and takes the Philox path
+            return measure(0.99, 0.98, 0.3, 0.05, 0.01)
+        return sampled_measure(seed=3, rounds=300)
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    @pytest.mark.parametrize("name,kwargs", CASES)
+    def test_block_size_does_not_change_graphs(self, monkeypatch, block, name, kwargs):
+        m = self.case_measure(name)
+        expected = trajectory_record(m, **kwargs)
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        assert trajectory_record(m, **kwargs) == expected
+
+    def test_blocks_cover_rows_in_order(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 10)
+        lens = np.array([25, 9, 8, 3, 2, 1, 0, 0])
+        blocks = list(graphs._row_blocks(lens))
+        assert blocks == [(0, 1), (1, 2), (2, 3), (3, 8)]
+
+    def test_row_keys_reproduce_keyed_uniforms(self):
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, 500, 1000)
+        j = rng.integers(0, 500, 1000)
+        base = 0xDEADBEEFCAFEF00D
+        assert np.array_equal(pair_uniforms(row_keys(base, 500)[i], j),
+                              keyed_uniforms(base, i, j))
+
+    def test_generate_memory_is_bounded(self):
+        # 3000 atoms keep all 4.5M pairs, which held 279 MB if drawn unblocked
+        k = 3000
+        m = AtomicMeasure(np.linspace(1e-6, 2e-3, k), np.arange(k) / k)
+        tracemalloc.start()
+        try:
+            g = generate(m, 200, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.skipped_pairs == 0 and g.total_edges() > 0
+        assert peak < 64 * 2 ** 20
 
 
 class TestGrowth:

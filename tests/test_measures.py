@@ -123,6 +123,15 @@ class TestSampler:
         kept = full.weights[full.weights >= 1e-6]
         assert np.array_equal(np.sort(kept), np.sort(floored.weights))
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_floor_is_a_pure_filter(self, seed):
+        # past one 128-column stick block both floors must read one stream
+        full = sample_three_param_bp(STD_PARAMS, cfg(1000, floor=0.0, seed=seed))
+        floored = sample_three_param_bp(STD_PARAMS, cfg(1000, floor=1e-10, seed=seed))
+        kept = full.weights >= 1e-10
+        assert np.array_equal(full.weights[kept], floored.weights)
+        assert np.array_equal(full.labels[kept], floored.labels)
+
     def test_mean_total_mass_tracks_mass_parameter(self):
         # cheap module-level version of the mass oracle; the 2000-seed
         # acceptance run lives in test_acceptance.py

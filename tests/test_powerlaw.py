@@ -55,6 +55,12 @@ class TestFitLogLog:
         fit = fit_loglog([1, 10, 100, 1000, 10000], [7.0] * 5, 0.0, 1.0)
         assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
+    def test_equal_x_rejected_despite_rounding(self):
+        # the floating mean of twenty equal logs differs from them in the
+        # last bit, which once gave a slope fitted to rounding noise
+        with pytest.raises(FitError, match="constant"):
+            fit_loglog([49] * 20, np.linspace(100.0, 300.0, 20))
+
     def test_quantile_window_restricts_points(self):
         xs = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 1e6, 2e6, 4e6, 8e6, 16e6])
         ys = np.concatenate([xs[:5] ** 1.0, xs[5:] ** 0.0 + 41.0])
