@@ -65,8 +65,8 @@ def _build_parser() -> _Parser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="config.json path")
     source.add_argument("--profile", choices=("desk", "paper"),
-                        help="built-in configuration; 'paper' uses the 5000-round "
-                             "truncation and a dense grid")
+                        help="built-in configuration; 'paper' sets 5000 stick-breaking "
+                             "rounds and an N step of 10")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--svg", action="store_true", help="also write a V-E scatter SVG")
@@ -130,7 +130,10 @@ def _cmd_sweep(args) -> int:
     from dataclasses import replace
 
     if args.config is not None:
-        cfg = experiment.load_config(args.config)
+        try:
+            cfg = experiment.load_config(args.config)
+        except measures.ParameterError as exc:
+            raise UsageError(f"{args.config}: {exc}") from None
     elif args.profile == "paper":
         cfg = experiment.PAPER_PROFILE
     else:
@@ -215,6 +218,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:
         return 0
+    except UsageError as exc:
+        print(f"crmgraph {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:  # noqa: BLE001 - boundary: report and signal failure
         print(f"crmgraph {args.command}: error: {exc}", file=sys.stderr)
         return 2

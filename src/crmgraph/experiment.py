@@ -11,10 +11,11 @@ the worker count never affects results.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .fileio import open_text_sink
@@ -80,6 +81,12 @@ class ExperimentConfig:
             raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
         if self.growth_mode not in GROWTH_MODES:
             raise ParameterError(f"growth_mode must be one of {GROWTH_MODES}")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not 0 <= self.fit_lower_q < self.fit_upper_q <= 1:
+            raise ParameterError(
+                f"need 0 <= fit_lower_q < fit_upper_q <= 1, got fit_lower_q "
+                f"{self.fit_lower_q}, fit_upper_q {self.fit_upper_q}")
         self.params()  # validates gamma/theta/alpha
         self.sticks(0)  # validates rounds/weight_floor
 
@@ -97,7 +104,7 @@ class ExperimentConfig:
 
 # Desk-scale default profile: runs in minutes on a laptop.
 DESK_PROFILE = ExperimentConfig()
-# Full-scale truncation; measure sampling alone is substantially slower.
+# The paper's settings: 5000 stick-breaking rounds and an N step of 10.
 PAPER_PROFILE = replace(DESK_PROFILE, rounds=5000, n_step=10)
 
 
@@ -252,13 +259,33 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
+def _config_value_ok(kind: str, value) -> bool:
+    """Whether a JSON value fits a config field annotated ``kind``."""
+    if isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, str)
+
+
 def load_config(path) -> ExperimentConfig:
-    """Read a config.json; unknown keys are rejected."""
+    """Read a config.json; unknown keys and ill-typed values are rejected."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"config is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParameterError("config must be a JSON object")
     unknown = set(data) - set(_CONFIG_KEYS)
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+    for field in fields(ExperimentConfig):
+        if field.name in data and not _config_value_ok(field.type, data[field.name]):
+            raise ParameterError(
+                f"config key {field.name!r} must be {field.type}, got {data[field.name]!r}")
     return ExperimentConfig(**data)
 
 

@@ -15,6 +15,7 @@ graph in increments (one epoch per increment) is reproducible from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -75,13 +76,8 @@ class MultiGraph:
     def __post_init__(self):
         if self.n_rounds < 0:
             raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
-        for (i, j), count in self.edge_counts.items():
-            if i == j:
-                raise ParameterError(f"loop ({i}, {i}) is not allowed")
-            if not 0 <= i < j < self.atom_count:
-                raise ParameterError(f"pair ({i}, {j}) out of range for {self.atom_count} atoms")
-            if not 1 <= count <= self.n_rounds:
-                raise ParameterError(f"count {count} for pair ({i}, {j}) outside 1..{self.n_rounds}")
+        counts = _int64_array(self.edge_counts.values(), len(self.edge_counts))
+        _check_pairs(_pair_array(self.edge_counts), self.atom_count, counts, self.n_rounds)
 
     def total_edges(self) -> int:
         """Number of distinct connected pairs."""
@@ -97,11 +93,42 @@ class BinaryGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", frozenset(self.adjacency))
-        for i, j in self.adjacency:
-            if i == j:
-                raise ParameterError(f"loop ({i}, {i}) is not allowed")
-            if not 0 <= i < j < self.atom_count:
-                raise ParameterError(f"pair ({i}, {j}) out of range for {self.atom_count} atoms")
+        _check_pairs(_pair_array(self.adjacency), self.atom_count)
+
+
+def _int64_array(values, count: int) -> np.ndarray:
+    try:
+        return np.fromiter(values, np.int64, count=count)
+    except OverflowError:
+        raise ParameterError("edge list holds a value outside the int64 range") from None
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """The (i, j) pairs of an edge container as an (E, 2) int64 array, in
+    iteration order."""
+    return _int64_array(chain.from_iterable(pairs), 2 * len(pairs)).reshape(-1, 2)
+
+
+def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None) -> None:
+    """Raise ParameterError naming the first bad row of ``pairs``.
+
+    A row is bad if it is a loop, lies outside 0 <= i < j < atom_count, or,
+    when ``counts`` is given, has a count outside 1..n_rounds.
+    """
+    i, j = pairs[:, 0], pairs[:, 1]
+    bad = (i < 0) | (i >= j) | (j >= atom_count)
+    if counts is not None:
+        bad |= (counts < 1) | (counts > n_rounds)
+    hits = np.flatnonzero(bad)
+    if not hits.size:
+        return
+    first = int(hits[0])
+    a, b = pairs[first].tolist()
+    if a == b:
+        raise ParameterError(f"loop ({a}, {a}) is not allowed")
+    if not 0 <= a < b < atom_count:
+        raise ParameterError(f"pair ({a}, {b}) out of range for {atom_count} atoms")
+    raise ParameterError(f"count {int(counts[first])} for pair ({a}, {b}) outside 1..{n_rounds}")
 
 
 @dataclass(frozen=True)
@@ -163,30 +190,38 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float,
     return blocks, skipped, skipped_bound
 
 
-def _row_blocks(lens: np.ndarray):
-    """Consecutive row ranges [start, stop) of at most ``_PAIR_BLOCK`` pairs.
+def _row_blocks(lens: np.ndarray, block: int | None = None):
+    """Consecutive row ranges [start, stop) of at most ``block`` pairs.
 
-    A row longer than the block size forms a block on its own.
+    ``block`` defaults to ``_PAIR_BLOCK``.  A row longer than the block size
+    forms a block on its own.
     """
+    block = _PAIR_BLOCK if block is None else block
     ends = np.cumsum(lens)
     start, done = 0, 0
     while done < ends[-1]:
-        stop = max(int(np.searchsorted(ends, done + _PAIR_BLOCK, side="right")), start + 1)
+        stop = max(int(np.searchsorted(ends, done + block, side="right")), start + 1)
         yield start, stop
         start, done = stop, int(ends[stop - 1])
 
 
-def _block_pairs(order: np.ndarray, ws: np.ndarray, lens: np.ndarray,
-                 start: int, stop: int):
-    """Original-index pairs (i < j) and probabilities of rows start..stop-1.
+def _row_pairs(lens: np.ndarray, start: int, stop: int):
+    """Positions (a, b) of the pairs of rows start..stop-1, row by row.
 
-    Row a of the descending-weight order pairs with sorted positions
-    a+1 .. a+lens[a].
+    Row a pairs with positions a+1 .. a+lens[a].
     """
     row_lens = lens[start:stop]
     a = np.repeat(np.arange(start, stop), row_lens)
     first = np.arange(start + 1, stop + 1) - (np.cumsum(row_lens) - row_lens)
     b = np.arange(a.size) + np.repeat(first, row_lens)
+    return a, b
+
+
+def _block_pairs(order: np.ndarray, ws: np.ndarray, lens: np.ndarray,
+                 start: int, stop: int):
+    """Original-index pairs (i < j) and probabilities of rows start..stop-1
+    of the descending-weight order."""
+    a, b = _row_pairs(lens, start, stop)
     oi, oj = order[a], order[b]
     probs = ws[a] * ws[b]
     return np.minimum(oi, oj), np.maximum(oi, oj), probs

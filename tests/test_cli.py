@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -137,6 +138,28 @@ class TestSweepCommand:
 
     def test_missing_config(self, capsys, tmp_path):
         assert run_cli(capsys, "sweep", "--config", str(tmp_path / "no.json"))[0] == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("replicas", "10"), ("n_step", "5"), ("gamma", "3"), ("seed", -1),
+        ("replicas", True), ("fit_lower_q", 1.5),
+    ])
+    def test_malformed_config_value_exit_1(self, capsys, tmp_path, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(ExperimentConfig(out_dir=str(tmp_path / "out")), cfg_path)
+        data = json.loads(cfg_path.read_text())
+        data[key] = value
+        cfg_path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 1
+        assert key in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ['{"gamma": ', '[1, 2]'])
+    def test_unreadable_config_exit_1(self, capsys, tmp_path, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 1 and "config" in err
 
     def test_config_and_profile_mutually_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", "a.json", "--profile", "desk")

@@ -28,6 +28,8 @@ class TestConfig:
         dict(n_start=-1), dict(n_stop=10, n_start=20), dict(n_step=0),
         dict(replicas=0), dict(growth_mode="sideways"),
         dict(alpha=1.0), dict(gamma=0.0), dict(rounds=0),
+        dict(seed=-1), dict(seed=2**64), dict(fit_lower_q=-0.1),
+        dict(fit_lower_q=0.6, fit_upper_q=0.5), dict(fit_upper_q=1.5),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ParameterError):

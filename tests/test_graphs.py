@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,24 @@ class TestValidation:
             MultiGraph(5, 4, {(3, 1): 1})
         with pytest.raises(ParameterError):
             MultiGraph(5, 4, {(0, 9): 1})
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(0, 1): 1, (2, 2): 1, (0, 9): 1}, "loop (2, 2)"),
+        ({(0, 1): 1, (3, 1): 1, (2, 2): 1}, "pair (3, 1) out of range"),
+        ({(0, 1): 1, (0, 2): 6, (3, 1): 1}, "count 6 for pair (0, 2)"),
+        ({(0, 1): 0}, "count 0 for pair (0, 1) outside 1..5"),
+        ({(0, 1): 1, (-1, 2): 1}, "pair (-1, 2) out of range for 4 atoms"),
+        ({(0, 2**70): 1}, "outside the int64 range"),
+        ({(0, 1): 2**70}, "outside the int64 range"),
+    ])
+    def test_message_names_first_offending_pair(self, edges, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, 4, edges)
+
+    def test_binary_message_names_offending_pair(self):
+        with pytest.raises(ParameterError, match=re.escape("pair (1, 4) out of range")):
+            BinaryGraph(frozenset({(0, 1), (1, 4)}), 4)
+        BinaryGraph(frozenset({(0, 1), (1, 3)}), 4)
 
 
 class TestEdgeCsv:

@@ -1,8 +1,10 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
+from crmgraph import stats
 from crmgraph.graphs import BinaryGraph, binarize, generate
 from crmgraph.measures import BetaProcessParams, StickBreakingConfig, \
     sample_three_param_bp
@@ -81,6 +83,104 @@ class TestTriangles:
             assert triangles(z) == brute_force_triangles(z)
             assert degrees(z) == {v: len([e for e in z.adjacency if v in e])
                                   for v in {u for e in z.adjacency for u in e}}
+
+
+def brute_force_degrees(z: BinaryGraph) -> dict[int, int]:
+    return {v: len([e for e in z.adjacency if v in e])
+            for v in {u for e in z.adjacency for u in e}}
+
+
+def networkx_triangles(z: BinaryGraph) -> dict[int, int]:
+    nx = pytest.importorskip("networkx")
+    g = nx.Graph()
+    g.add_edges_from(z.adjacency)
+    return nx.triangles(g)
+
+
+def complete_graph(n: int) -> BinaryGraph:
+    return BinaryGraph(frozenset(itertools.combinations(range(n), 2)), n)
+
+
+def sparse_id_graph(rng: random.Random) -> BinaryGraph:
+    """A random graph on a few vertex ids scattered over many atoms."""
+    ids = sorted(rng.sample(range(10_000), rng.randint(2, 15)))
+    p = rng.uniform(0.2, 0.9)
+    edges = frozenset(e for e in itertools.combinations(ids, 2) if rng.random() < p)
+    return BinaryGraph(edges, 10_000)
+
+
+SHAPES = {
+    "empty": BinaryGraph(frozenset(), 5),
+    "single_edge": graph((3, 8), atoms=12),
+    "star": graph(*[(0, leaf) for leaf in range(1, 9)]),
+    "k5": complete_graph(5),
+    "k3_pendant": PATH_PLUS,
+}
+
+
+class TestForwardCount:
+    """The array kernel against brute force and networkx."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_shapes_match_brute_force(self, name):
+        z = SHAPES[name]
+        assert triangles(z) == brute_force_triangles(z)
+        assert degrees(z) == brute_force_degrees(z)
+
+    def test_k5_counts(self):
+        s = summarize(complete_graph(5), 1)
+        assert s.degree_hist == {4: 5} and s.triangle_hist == {6: 5}
+
+    def test_random_and_sparse_id_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(100):
+            for z in (random_small_graph(rng), sparse_id_graph(rng)):
+                expected = brute_force_triangles(z)
+                assert triangles(z) == expected
+                assert degrees(z) == brute_force_degrees(z)
+                if z.adjacency:
+                    assert networkx_triangles(z) == expected
+
+    def test_property_against_brute_force(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        pairs = st.tuples(st.integers(0, 40), st.integers(0, 40)).filter(lambda e: e[0] < e[1])
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.frozensets(pairs, max_size=60))
+        def check(edges):
+            z = BinaryGraph(edges, 41)
+            assert triangles(z) == brute_force_triangles(z)
+            assert degrees(z) == brute_force_degrees(z)
+
+        check()
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_wedge_block_does_not_change_results(self, monkeypatch, block):
+        rng = random.Random(31)
+        cases = [complete_graph(30), PATH_PLUS] + [random_small_graph(rng) for _ in range(20)]
+        expected = [summarize(z, 4) for z in cases]
+        monkeypatch.setattr(stats, "_WEDGE_BLOCK", block)
+        assert [summarize(z, 4) for z in cases] == expected
+
+    def test_networkx_oracle_on_sampled_graph(self):
+        params = BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0)
+        m = sample_three_param_bp(params, StickBreakingConfig(rounds=800, seed=4))
+        z = binarize(generate(m, 500_000, seed=9))
+        assert 40_000 < len(z.adjacency) < 60_000
+        assert triangles(z) == networkx_triangles(z)
+
+    def test_memory_follows_block_not_wedges(self):
+        # K_300: 44,850 edges and 4.45M wedges, all closed
+        k300 = complete_graph(300)
+        tracemalloc.start()
+        try:
+            s = summarize(k300, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.triangle_hist == {299 * 298 // 2: 300}
+        assert peak < 16 * 2**20
 
 
 class TestSummarize:
