@@ -14,7 +14,7 @@ import csv
 import sys
 
 from . import experiment, graphs, measures, powerlaw, stats
-from .fileio import open_text_sink
+from .fileio import write_csv
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -49,8 +49,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of edge rounds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--binary", action="store_true", help="emit i,j instead of i,j,count")
-    p.add_argument("--exact-pairs", action="store_true", help="disable pair skipping")
-    p.add_argument("--pair-skip", type=float, default=graphs.DEFAULT_PAIR_SKIP)
+    p.add_argument("--pair-skip", type=float, default=graphs.DEFAULT_PAIR_SKIP,
+                   help="skip pairs whose expected edge count n*w_i*w_j is below this; "
+                        "0 draws every pair")
     p.add_argument("--exact-rounds", action="store_true",
                    help="literal round-by-round reference sampler (small inputs only)")
     p.add_argument("--out", default="-")
@@ -100,8 +101,7 @@ def _cmd_graph(args) -> int:
     if args.exact_rounds:
         graph = graphs.generate_exact_rounds(measure, args.n, args.seed)
     else:
-        graph = graphs.generate(measure, args.n, args.seed,
-                                pair_skip=args.pair_skip, exact_pairs=args.exact_pairs)
+        graph = graphs.generate(measure, args.n, args.seed, pair_skip=args.pair_skip)
     if args.binary:
         graphs.write_binarygraph_csv(graphs.binarize(graph), args.out)
     else:
@@ -138,10 +138,13 @@ def _cmd_sweep(args) -> int:
         cfg = experiment.PAPER_PROFILE
     else:
         cfg = experiment.DESK_PROFILE
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+    try:
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+    except measures.ParameterError as exc:
+        raise UsageError(exc) from None
     result = experiment.run_sweep(cfg)
     if args.svg:
         points = [(snap.effective_vertices, snap.total_edges)
@@ -187,10 +190,8 @@ def _cmd_ccdf(args) -> int:
             if source is not sys.stdin:
                 source.close()
     curve = powerlaw.ccdf(values)
-    with open_text_sink(args.out) as fh:
-        fh.write("M,survival\n")
-        for m, s in zip(curve.thresholds, curve.survival):
-            fh.write(f"{int(m)},{float(s)!r}\n")
+    write_csv(args.out, ("M", "survival"),
+              zip(curve.thresholds.tolist(), curve.survival.tolist()))
     return 0
 
 

@@ -18,13 +18,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .fileio import open_text_sink
+from .fileio import open_text_sink, write_csv
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
                        sample_three_param_bp)
 from .powerlaw import LogLogFit, PowerLawReport, classify, write_fits_csv, write_fits_json
 from .rng import derive_key
-from .stats import GraphStats, summarize
+from .stats import GraphStats, _hist_rows, summarize
 
 __all__ = [
     "ExperimentConfig",
@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "CRMGG_THREADS"
-
-_CONFIG_KEYS = ["gamma", "theta", "alpha", "rounds", "weight_floor",
-                "n_start", "n_stop", "n_step", "replicas", "growth_mode",
-                "seed", "out_dir", "fit_lower_q", "fit_upper_q"]
 
 GROWTH_MODES = ("coupled", "independent")
 
@@ -232,30 +228,21 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
 
 def _write_sweep_csv(rows, path) -> None:
-    with open_text_sink(path) as fh:
-        fh.write("replica,N,V,E,D1,T0,T1\n")
-        for replica, n, snap in rows:
-            fh.write(f"{replica},{n},{snap.effective_vertices},{snap.total_edges},"
-                     f"{snap.degree_hist.get(1, 0)},{snap.triangle_hist.get(0, 0)},"
-                     f"{snap.triangle_hist.get(1, 0)}\n")
+    write_csv(path, ("replica", "N", "V", "E", "D1", "T0", "T1"),
+              ((replica, n, snap.effective_vertices, snap.total_edges,
+                snap.degree_hist.get(1, 0), snap.triangle_hist.get(0, 0),
+                snap.triangle_hist.get(1, 0)) for replica, n, snap in rows))
 
 
 def _write_hist_csv(rows, path) -> None:
-    with open_text_sink(path) as fh:
-        fh.write("replica,N,kind,r,count\n")
-        for replica, n, snap in rows:
-            for r, count in snap.degree_hist.items():
-                fh.write(f"{replica},{n},degree,{r},{count}\n")
-            for r, count in snap.triangle_hist.items():
-                fh.write(f"{replica},{n},triangle,{r},{count}\n")
+    write_csv(path, ("replica", "N", "kind", "r", "count"),
+              ((replica, n, *row) for replica, n, snap in rows for row in _hist_rows(snap)))
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    """Write config.json with a fixed canonical field order."""
-    data = asdict(cfg)
-    ordered = {key: data[key] for key in _CONFIG_KEYS}
+    """Write config.json in the field order of :class:`ExperimentConfig`."""
     with open_text_sink(path) as fh:
-        json.dump(ordered, fh, indent=2)
+        json.dump(asdict(cfg), fh, indent=2)
         fh.write("\n")
 
 
@@ -279,7 +266,7 @@ def load_config(path) -> ExperimentConfig:
             raise ParameterError(f"config is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParameterError("config must be a JSON object")
-    unknown = set(data) - set(_CONFIG_KEYS)
+    unknown = set(data) - {field.name for field in fields(ExperimentConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
     for field in fields(ExperimentConfig):
@@ -296,8 +283,6 @@ def write_scatter_svg(points, path, *, x_label: str, y_label: str,
     Data emission elsewhere is CSV; this exists only for a quick visual
     check without pulling in a plotting stack.
     """
-    import math
-
     pts = [(x, y) for x, y in points if x > 0 and y > 0]
     if not pts:
         raise ParameterError("scatter needs at least one positive point")

@@ -1,7 +1,13 @@
-"""Shared text-sink helper: a path, "-" for stdout, or an open file."""
+"""Text sinks and the one CSV dialect every table is written in.
+
+Every table the package writes goes through :func:`write_csv` (comma
+separated, minimal quoting, ``\\n`` line endings), and the fixed-header
+tables it reads back go through :func:`read_csv`.
+"""
 
 from __future__ import annotations
 
+import csv
 import sys
 from contextlib import contextmanager
 
@@ -16,3 +22,27 @@ def open_text_sink(target):
     else:
         with open(target, "w", newline="") as fh:
             yield fh
+
+
+def write_csv(target, header, rows) -> None:
+    """Write a header row and then ``rows`` to a path, "-" or file object."""
+    with open_text_sink(target) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """The rows after the header of a CSV file whose first row is ``header``.
+
+    Raises ``ParameterError`` when the first row is anything else.
+    """
+    from .measures import ParameterError
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first != list(header):
+            raise ParameterError(f"{path}: expected CSV header {','.join(header)!r}, "
+                                 f"got {first}")
+        return list(reader)

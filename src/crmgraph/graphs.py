@@ -19,7 +19,7 @@ from itertools import chain
 
 import numpy as np
 
-from .fileio import open_text_sink
+from .fileio import read_csv, write_csv
 from .measures import AtomicMeasure, ParameterError
 from .rng import derive_key, pair_uniforms, philox, row_keys
 
@@ -54,6 +54,9 @@ _LOG_PMF0_MIN = -600.0
 # length are live per block, so generator memory follows this constant plus
 # the edges, not the number of atom pairs.
 _PAIR_BLOCK = 1 << 16
+
+_MULTIGRAPH_HEADER = ("i", "j", "count")
+_BINARYGRAPH_HEADER = ("i", "j")
 
 
 @dataclass(frozen=True)
@@ -145,15 +148,13 @@ class GrowthState:
     graph: MultiGraph
     epoch: int = 0
     pair_skip: float = DEFAULT_PAIR_SKIP
-    exact_pairs: bool = False
 
     @property
     def n_rounds(self) -> int:
         return self.graph.n_rounds
 
 
-def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float,
-                  exact_pairs: bool):
+def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float):
     """Enumerate pairs worth drawing, in descending-weight order.
 
     Returns a lazy sequence of blocks of original-index arrays (i, j) with
@@ -167,7 +168,7 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float,
     ws = weights[order]
     total_pairs = k * (k - 1) // 2
 
-    if exact_pairs or pair_skip <= 0.0:
+    if pair_skip <= 0.0:
         cut = np.full(k, k, dtype=np.int64)
     else:
         # first sorted position whose weight drops under pair_skip/(n * w_a);
@@ -270,12 +271,12 @@ def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
 
 
 def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
-                    epoch: int, pair_skip: float, exact_pairs: bool):
+                    epoch: int, pair_skip: float):
     """One epoch of pair draws: {pair: positive count}, skip accounting."""
     weights = measure.weights
     if delta_rounds == 0 or weights.size < 2:
         return {}, 0, 0.0
-    blocks, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip, exact_pairs)
+    blocks, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip)
     base_key = derive_key(seed, epoch)
     atom_keys = row_keys(base_key, weights.size)
     edges = {}
@@ -287,8 +288,7 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
 
 
 def generate(measure: AtomicMeasure, n_rounds: int, seed: int, *,
-             pair_skip: float = DEFAULT_PAIR_SKIP,
-             exact_pairs: bool = False) -> MultiGraph:
+             pair_skip: float = DEFAULT_PAIR_SKIP) -> MultiGraph:
     """Sample the multigraph after ``n_rounds`` rounds of edge draws.
 
     Parameters
@@ -301,14 +301,13 @@ def generate(measure: AtomicMeasure, n_rounds: int, seed: int, *,
         Stream seed; fixed (measure, n_rounds, seed) gives a fixed graph.
     pair_skip : float
         Pairs with ``n_rounds * w_i * w_j`` below this are never drawn; the
-        resulting expected-missed-edge bound is recorded on the graph.
-    exact_pairs : bool
-        Disable skipping and draw every pair.
+        resulting expected-missed-edge bound is recorded on the graph.  Zero
+        draws every pair.
     """
     if int(n_rounds) != n_rounds or n_rounds < 0:
         raise ParameterError(f"n_rounds must be a nonnegative integer, got {n_rounds}")
     edges, skipped, bound = _draw_increment(
-        measure, int(n_rounds), seed, 0, pair_skip, exact_pairs)
+        measure, int(n_rounds), seed, 0, pair_skip)
     return MultiGraph(int(n_rounds), len(measure), edges,
                       skipped_pairs=skipped, skipped_edge_bound=bound)
 
@@ -341,12 +340,10 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
 
 
 def start_growth(measure: AtomicMeasure, seed: int, *,
-                 pair_skip: float = DEFAULT_PAIR_SKIP,
-                 exact_pairs: bool = False) -> GrowthState:
+                 pair_skip: float = DEFAULT_PAIR_SKIP) -> GrowthState:
     """A fresh trajectory at zero rounds for the given measure and seed."""
     empty = MultiGraph(0, len(measure), {})
-    return GrowthState(measure, seed, empty, epoch=0,
-                       pair_skip=pair_skip, exact_pairs=exact_pairs)
+    return GrowthState(measure, seed, empty, epoch=0, pair_skip=pair_skip)
 
 
 def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
@@ -361,8 +358,7 @@ def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
         raise ParameterError(f"delta_rounds must be a positive integer, got {delta_rounds}")
     epoch = state.epoch + 1
     new_edges, skipped, bound = _draw_increment(
-        state.measure, int(delta_rounds), state.seed, epoch,
-        state.pair_skip, state.exact_pairs)
+        state.measure, int(delta_rounds), state.seed, epoch, state.pair_skip)
     merged = dict(state.graph.edge_counts)
     for pair, count in new_edges.items():
         merged[pair] = merged.get(pair, 0) + count
@@ -380,10 +376,8 @@ def binarize(graph: MultiGraph) -> BinaryGraph:
 
 def write_multigraph_csv(graph: MultiGraph, path) -> None:
     """Write ``i,j,count`` rows sorted by pair."""
-    with open_text_sink(path) as fh:
-        fh.write("i,j,count\n")
-        for (i, j) in sorted(graph.edge_counts):
-            fh.write(f"{i},{j},{graph.edge_counts[(i, j)]}\n")
+    write_csv(path, _MULTIGRAPH_HEADER,
+              ((i, j, count) for (i, j), count in sorted(graph.edge_counts.items())))
 
 
 def read_multigraph_csv(path, n_rounds: int | None = None,
@@ -393,14 +387,8 @@ def read_multigraph_csv(path, n_rounds: int | None = None,
     When ``n_rounds`` is unknown the largest count observed is used, the
     smallest round total consistent with the data.
     """
-    edges = {}
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "i,j,count":
-            raise ParameterError(f"unexpected multigraph CSV header: {header!r}")
-        for line in fh:
-            i_s, j_s, c_s = line.strip().split(",")
-            edges[(int(i_s), int(j_s))] = int(c_s)
+    edges = {(int(i), int(j)): int(count)
+             for i, j, count in read_csv(path, _MULTIGRAPH_HEADER)}
     if atom_count is None:
         atom_count = 1 + max((j for _, j in edges), default=-1)
     if n_rounds is None:
@@ -410,22 +398,12 @@ def read_multigraph_csv(path, n_rounds: int | None = None,
 
 def write_binarygraph_csv(graph: BinaryGraph, path) -> None:
     """Write ``i,j`` rows sorted by pair."""
-    with open_text_sink(path) as fh:
-        fh.write("i,j\n")
-        for (i, j) in sorted(graph.adjacency):
-            fh.write(f"{i},{j}\n")
+    write_csv(path, _BINARYGRAPH_HEADER, sorted(graph.adjacency))
 
 
 def read_binarygraph_csv(path, atom_count: int | None = None) -> BinaryGraph:
     """Read an ``i,j`` file written by :func:`write_binarygraph_csv`."""
-    pairs = set()
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != "i,j":
-            raise ParameterError(f"unexpected binary-graph CSV header: {header!r}")
-        for line in fh:
-            i_s, j_s = line.strip().split(",")
-            pairs.add((int(i_s), int(j_s)))
+    pairs = {(int(i), int(j)) for i, j in read_csv(path, _BINARYGRAPH_HEADER)}
     if atom_count is None:
         atom_count = 1 + max((j for _, j in pairs), default=-1)
     return BinaryGraph(frozenset(pairs), atom_count)

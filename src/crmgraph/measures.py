@@ -11,14 +11,13 @@ to zero recovers the plain beta process.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .fileio import open_text_sink
+from .fileio import read_csv, write_csv
 from .rng import philox
 
 __all__ = [
@@ -41,6 +40,8 @@ MAX_MASS = 100.0
 # positive weight floor can stop drawing once no atom in the round can stay
 # above it.
 _STICK_CHUNK = 128
+
+_MEASURE_HEADER = ("atom_id", "weight", "label")
 
 
 class ParameterError(ValueError):
@@ -248,22 +249,13 @@ def sorted_view(measure: AtomicMeasure) -> AtomicMeasure:
 
 def write_measure_csv(measure: AtomicMeasure, path: str | Path) -> None:
     """Write atoms as ``atom_id,weight,label`` with 17 significant digits."""
-    with open_text_sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["atom_id", "weight", "label"])
-        for k in range(len(measure)):
-            writer.writerow([k, f"{measure.weights[k]:.17g}", f"{measure.labels[k]:.17g}"])
+    write_csv(path, _MEASURE_HEADER,
+              ([k, f"{w:.17g}", f"{x:.17g}"]
+               for k, (w, x) in enumerate(zip(measure.weights, measure.labels))))
 
 
 def read_measure_csv(path: str | Path) -> AtomicMeasure:
     """Read a measure written by :func:`write_measure_csv` (no provenance)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["atom_id", "weight", "label"]:
-            raise ParameterError(f"unexpected measure CSV header: {header}")
-        weights, labels = [], []
-        for row in reader:
-            weights.append(float(row[1]))
-            labels.append(float(row[2]))
-    return AtomicMeasure(np.array(weights), np.array(labels))
+    rows = read_csv(path, _MEASURE_HEADER)
+    return AtomicMeasure(np.array([float(r[1]) for r in rows]),
+                         np.array([float(r[2]) for r in rows]))

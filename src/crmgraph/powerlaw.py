@@ -11,13 +11,12 @@ base-10 logs, restricted to an x-quantile window.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import open_text_sink
+from .fileio import open_text_sink, write_csv
 
 __all__ = [
     "FitError",
@@ -30,8 +29,6 @@ __all__ = [
     "write_fits_csv",
     "write_fits_json",
 ]
-
-TYPE_LABELS = ("I", "IIa", "IIb", "IIIa", "IIIb")
 
 _MIN_POINTS = 5
 _SWEEP_MIN_SNAPSHOTS = 10
@@ -268,6 +265,9 @@ def classify(sweep, *, degree_r: int = 1, triangle_r: int = 1,
     return PowerLawReport(fits, notes, type_i_class)
 
 
+_FIT_COLUMNS = ("type", "slope", "intercept", "r2", "n_points", "lower_q", "upper_q")
+
+
 def _fit_rows(fits: dict[str, LogLogFit | None]):
     for label, fit in fits.items():
         if fit is not None:
@@ -278,13 +278,8 @@ def _fit_rows(fits: dict[str, LogLogFit | None]):
 
 def write_fits_csv(fits: dict[str, LogLogFit | None], path) -> None:
     """Fit table: ``type,slope,intercept,r2,n_points,lower_q,upper_q``."""
-    with open_text_sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["type", "slope", "intercept", "r2", "n_points", "lower_q", "upper_q"])
-        for row in _fit_rows(fits):
-            writer.writerow([row["type"], repr(row["slope"]), repr(row["intercept"]),
-                             repr(row["r2"]), row["n_points"],
-                             repr(row["lower_q"]), repr(row["upper_q"])])
+    write_csv(path, _FIT_COLUMNS,
+              ([row[column] for column in _FIT_COLUMNS] for row in _fit_rows(fits)))
 
 
 def write_fits_json(fits: dict[str, LogLogFit | None], path) -> None:

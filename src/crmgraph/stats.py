@@ -20,12 +20,11 @@ memory follows the edges plus the block size.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import open_text_sink
+from .fileio import write_csv
 from .graphs import BinaryGraph, _pair_array, _row_blocks, _row_pairs
 
 __all__ = [
@@ -160,6 +159,13 @@ def summarize(graph: BinaryGraph, n_rounds: int) -> GraphStats:
     )
 
 
+def _hist_rows(snap: GraphStats):
+    """(kind, r, count) histogram rows of one snapshot, degree rows first."""
+    for kind, hist in (("degree", snap.degree_hist), ("triangle", snap.triangle_hist)):
+        for r, count in hist.items():
+            yield kind, r, count
+
+
 def write_stats_wide_csv(rows: list[GraphStats], path) -> None:
     """Wide per-snapshot table: ``N,V,E,D_1..D_max,T_0..T_max``.
 
@@ -170,24 +176,14 @@ def write_stats_wide_csv(rows: list[GraphStats], path) -> None:
     max_t = max((max(s.triangle_hist, default=0) for s in rows), default=0)
     d_cols = list(range(1, max_d + 1))
     t_cols = list(range(0, max_t + 1))
-    with open_text_sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "V", "E"]
-                        + [f"D_{r}" for r in d_cols] + [f"T_{r}" for r in t_cols])
-        for s in rows:
-            writer.writerow(
-                [s.n_rounds, s.effective_vertices, s.total_edges]
-                + [s.degree_hist.get(r, 0) for r in d_cols]
-                + [s.triangle_hist.get(r, 0) for r in t_cols])
+    write_csv(path,
+              ["N", "V", "E"] + [f"D_{r}" for r in d_cols] + [f"T_{r}" for r in t_cols],
+              ([s.n_rounds, s.effective_vertices, s.total_edges]
+               + [s.degree_hist.get(r, 0) for r in d_cols]
+               + [s.triangle_hist.get(r, 0) for r in t_cols] for s in rows))
 
 
 def write_stats_long_csv(rows: list[GraphStats], path) -> None:
     """Long histogram table: ``N,kind,r,count`` with kind degree|triangle."""
-    with open_text_sink(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "kind", "r", "count"])
-        for s in rows:
-            for r, count in s.degree_hist.items():
-                writer.writerow([s.n_rounds, "degree", r, count])
-            for r, count in s.triangle_hist.items():
-                writer.writerow([s.n_rounds, "triangle", r, count])
+    write_csv(path, ("N", "kind", "r", "count"),
+              ((s.n_rounds, *row) for s in rows for row in _hist_rows(s)))

@@ -166,6 +166,14 @@ class TestSweepCommand:
         assert code == 1
         assert run_cli(capsys, "sweep")[0] == 1
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exit_1(self, capsys, tmp_path, seed):
+        code, _, err = run_cli(capsys, "sweep", "--profile", "desk", "--seed", seed,
+                               "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert "seed must be in [0, 2**64)" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_desk_profile_runs(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("CRMGG_THREADS", "2")
         out_dir = tmp_path / "desk"
@@ -216,6 +224,40 @@ class TestCcdfCommand:
         samples = tmp_path / "z.txt"
         samples.write_text("0\n0\n")
         assert run_cli(capsys, "ccdf", str(samples))[0] == 2
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    """Every CSV table the CLI writes, each written once to a file."""
+    d = tmp_path_factory.mktemp("tables")
+    save_config(ExperimentConfig(rounds=80, n_start=10, n_stop=200, n_step=10,
+                                 replicas=1, seed=5, out_dir=str(d / "sweep")),
+                d / "cfg.json")
+    commands = [
+        ("measure", "--rounds", "60", "--seed", "3", "--out", d / "measure.csv"),
+        ("graph", "--weights", d / "measure.csv", "--n", "100", "--out", d / "multi.csv"),
+        ("graph", "--weights", d / "measure.csv", "--n", "100", "--binary",
+         "--out", d / "binary.csv"),
+        ("stats", d / "multi.csv", "--out", d / "stats_wide.csv"),
+        ("stats", d / "multi.csv", "--long", "--out", d / "stats_long.csv"),
+        ("sweep", "--config", d / "cfg.json"),
+        ("fit", d / "sweep" / "sweep.csv", "--x", "V", "--y", "E", "--out", d / "fit.csv"),
+        ("ccdf", d / "sweep" / "hist.csv", "--column", "count", "--out", d / "ccdf.csv"),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CRMGG_THREADS", "1")
+        for argv in commands:
+            assert cli_dispatch([str(arg) for arg in argv]) == 0, argv
+    return d
+
+
+@pytest.mark.parametrize("name", [
+    "measure.csv", "multi.csv", "binary.csv", "stats_wide.csv", "stats_long.csv",
+    "sweep/sweep.csv", "sweep/hist.csv", "sweep/fits.csv", "fit.csv", "ccdf.csv",
+])
+def test_tables_end_lines_with_lf_only(table_dir, name):
+    data = (table_dir / name).read_bytes()
+    assert data.count(b"\n") >= 2 and b"\r" not in data
 
 
 class TestConsoleScript:

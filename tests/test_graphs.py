@@ -29,9 +29,9 @@ def sampled_measure(seed=42, rounds=400):
     return sample_three_param_bp(params, StickBreakingConfig(rounds=rounds, seed=seed))
 
 
-def selected_pairs(weights, n_rounds, pair_skip, exact_pairs):
+def selected_pairs(weights, n_rounds, pair_skip):
     """All blocks of _select_pairs joined: (i, j, probs, skipped, bound)."""
-    blocks, skipped, bound = _select_pairs(weights, n_rounds, pair_skip, exact_pairs)
+    blocks, skipped, bound = _select_pairs(weights, n_rounds, pair_skip)
     i, j, probs = (np.concatenate(parts) for parts in zip(*blocks))
     return i, j, probs, skipped, bound
 
@@ -131,7 +131,7 @@ class TestPairSkipping:
     def test_bound_matches_brute_force(self):
         w = np.array([0.5, 0.2, 0.05, 0.01, 0.002])
         n, skip = 10, 1e-3
-        lo, hi, probs, skipped, bound = selected_pairs(w, n, skip, False)
+        lo, hi, probs, skipped, bound = selected_pairs(w, n, skip)
         kept = set(zip(lo.tolist(), hi.tolist()))
         brute = 0.0
         count = 0
@@ -145,9 +145,9 @@ class TestPairSkipping:
         assert skipped == count
         assert bound == pytest.approx(brute, rel=1e-12)
 
-    def test_exact_pairs_disables_skipping(self):
+    def test_zero_pair_skip_disables_skipping(self):
         w = np.array([0.5, 1e-8, 1e-9])
-        lo, hi, probs, skipped, bound = selected_pairs(w, 10, 1e-3, True)
+        lo, hi, probs, skipped, bound = selected_pairs(w, 10, 0.0)
         assert len(lo) == 3 and skipped == 0 and bound == 0.0
 
     def test_default_bound_is_tiny_on_sampled_measure(self):
@@ -158,7 +158,7 @@ class TestPairSkipping:
         m = sampled_measure(seed=7)
         n = 100
         pruned = generate(m, n, seed=2)
-        full = generate(m, n, seed=2, exact_pairs=True)
+        full = generate(m, n, seed=2, pair_skip=0.0)
         assert pruned.skipped_pairs > 0
         # drawn pairs agree exactly; pairs present only in the full run must
         # be ones the pruned run skipped as negligible
@@ -184,7 +184,7 @@ class TestPairBlocks:
     CASES = [
         ("sampled", {}),
         ("sampled", {"pair_skip": 1e-3}),
-        ("sampled", {"exact_pairs": True}),
+        ("sampled", {"pair_skip": 0.0}),
         ("fallback", {}),
     ]
 
