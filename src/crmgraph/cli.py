@@ -12,6 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
+
+import numpy as np
 
 from . import experiment, graphs, measures, powerlaw, stats
 from .fileio import write_csv
@@ -181,15 +184,15 @@ def _cmd_ccdf(args) -> int:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or args.column not in reader.fieldnames:
                 raise powerlaw.FitError(f"column {args.column!r} not in {reader.fieldnames}")
-            values = [int(float(row[args.column])) for row in reader]
+            tokens = [row[args.column] for row in reader]
     else:
-        source = sys.stdin if args.samples == "-" else open(args.samples)
-        try:
-            values = [int(tok) for tok in source.read().split()]
-        finally:
-            if source is not sys.stdin:
-                source.close()
-    curve = powerlaw.ccdf(values)
+        with nullcontext(sys.stdin) if args.samples == "-" else open(args.samples) as fh:
+            tokens = fh.read().split()
+    values = np.array(tokens, dtype=float)  # a non-number raises, naming itself
+    bad = np.flatnonzero(~(np.abs(values) < 2**53) | (np.floor(values) != values))
+    if bad.size:
+        raise powerlaw.FitError(f"sample {tokens[bad[0]]!r} is not an integer below 2**53")
+    curve = powerlaw.ccdf(values.astype(np.int64))
     write_csv(args.out, ("M", "survival"),
               zip(curve.thresholds.tolist(), curve.survival.tolist()))
     return 0

@@ -185,7 +185,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
 
     Files written: ``config.json``, ``sweep.csv`` (replica,N,V,E,D1,T0,T1),
     ``hist.csv`` (replica,N,kind,r,count), ``fits.csv`` and ``fits.json``
-    (pooled fits for every type plus per-replica type I fits).
+    (every fit ``classify`` returns, in its order).
 
     Raises
     ------
@@ -206,22 +206,14 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     max_skip_bound = max(results[replica][1] for replica in range(cfg.replicas))
 
     report = classify(rows, lower_q=cfg.fit_lower_q, upper_q=cfg.fit_upper_q)
-    replica_type_i: dict[int, LogLogFit | None] = {}
-    for replica in range(cfg.replicas):
-        sub = classify(results[replica][0],
-                       lower_q=cfg.fit_lower_q, upper_q=cfg.fit_upper_q)
-        replica_type_i[replica] = sub.fits["I"]
-        if sub.fits["I"] is None:
-            report.notes[f"I_replica{replica}"] = sub.notes["I"]
+    replica_type_i = {replica: report.fits[f"I_replica{replica}"]
+                      for replica in range(cfg.replicas)}
 
     save_config(cfg, out / "config.json")
     _write_sweep_csv(rows, out / "sweep.csv")
     _write_hist_csv(rows, out / "hist.csv")
-    all_fits: dict[str, LogLogFit | None] = dict(report.fits)
-    for replica, fit in replica_type_i.items():
-        all_fits[f"I_replica{replica}"] = fit
-    write_fits_csv(all_fits, out / "fits.csv")
-    write_fits_json(all_fits, out / "fits.json")
+    write_fits_csv(report.fits, out / "fits.csv")
+    write_fits_json(report.fits, out / "fits.json")
 
     return SweepResult(cfg, rows, report, replica_type_i, max_skip_bound,
                        elapsed_seconds=time.perf_counter() - started)

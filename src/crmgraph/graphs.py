@@ -112,6 +112,17 @@ def _pair_array(pairs) -> np.ndarray:
     return _int64_array(chain.from_iterable(pairs), 2 * len(pairs)).reshape(-1, 2)
 
 
+def _check_draw_args(n_rounds: int, seed: int, pair_skip: float = 0.0) -> int:
+    """``n_rounds`` as an int, once it, the seed and pair_skip are checked."""
+    if int(n_rounds) != n_rounds or n_rounds < 0:
+        raise ParameterError(f"n_rounds must be a nonnegative integer, got {n_rounds}")
+    if not 0 <= seed < 2**64:  # derive_key would alias it to another seed
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
+    if not 0.0 <= pair_skip < np.inf:
+        raise ParameterError(f"pair_skip must be finite and >= 0, got {pair_skip}")
+    return int(n_rounds)
+
+
 def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None) -> None:
     """Raise ParameterError naming the first bad row of ``pairs``.
 
@@ -168,13 +179,10 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float):
     ws = weights[order]
     total_pairs = k * (k - 1) // 2
 
-    if pair_skip <= 0.0:
-        cut = np.full(k, k, dtype=np.int64)
-    else:
-        # first sorted position whose weight drops under pair_skip/(n * w_a);
-        # everything beyond it pairs with a below the draw threshold
-        thresholds = pair_skip / (n_rounds * ws)
-        cut = np.searchsorted(-ws, -thresholds, side="right")
+    # first sorted position whose weight drops under pair_skip/(n * w_a), or k
+    # at pair_skip 0; everything beyond it pairs with a below the threshold
+    thresholds = pair_skip / (n_rounds * ws)
+    cut = np.searchsorted(-ws, -thresholds, side="right")
 
     lens = np.clip(cut - np.arange(k) - 1, 0, None)
     total_kept = int(lens.sum())
@@ -298,17 +306,15 @@ def generate(measure: AtomicMeasure, n_rounds: int, seed: int, *,
     n_rounds : int
         Number of Bernoulli rounds collapsed into one binomial per pair.
     seed : int
-        Stream seed; fixed (measure, n_rounds, seed) gives a fixed graph.
+        Stream seed in [0, 2**64); (measure, n_rounds, seed) fixes the graph.
     pair_skip : float
         Pairs with ``n_rounds * w_i * w_j`` below this are never drawn; the
         resulting expected-missed-edge bound is recorded on the graph.  Zero
-        draws every pair.
+        draws every pair; a negative or non-finite value is rejected.
     """
-    if int(n_rounds) != n_rounds or n_rounds < 0:
-        raise ParameterError(f"n_rounds must be a nonnegative integer, got {n_rounds}")
-    edges, skipped, bound = _draw_increment(
-        measure, int(n_rounds), seed, 0, pair_skip)
-    return MultiGraph(int(n_rounds), len(measure), edges,
+    n_rounds = _check_draw_args(n_rounds, seed, pair_skip)
+    edges, skipped, bound = _draw_increment(measure, n_rounds, seed, 0, pair_skip)
+    return MultiGraph(n_rounds, len(measure), edges,
                       skipped_pairs=skipped, skipped_edge_bound=bound)
 
 
@@ -320,8 +326,7 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
     exists for; it is the honesty oracle for the binomial collapse, not a
     production path.
     """
-    if int(n_rounds) != n_rounds or n_rounds < 0:
-        raise ParameterError(f"n_rounds must be a nonnegative integer, got {n_rounds}")
+    n_rounds = _check_draw_args(n_rounds, seed)
     k = len(measure)
     if k > _EXACT_MAX_ATOMS:
         raise ParameterError(f"exact-rounds sampler limited to {_EXACT_MAX_ATOMS} atoms, got {k}")
@@ -332,16 +337,17 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
     probs = measure.weights[iu] * measure.weights[ju]
     counts = np.zeros(probs.size, dtype=np.int64)
     rng = philox(seed, 0x0EAC7)
-    for _ in range(int(n_rounds)):
+    for _ in range(n_rounds):
         counts += rng.random(probs.size) < probs
     nz = np.flatnonzero(counts)
     edges = {(int(iu[t]), int(ju[t])): int(counts[t]) for t in nz}
-    return MultiGraph(int(n_rounds), k, edges)
+    return MultiGraph(n_rounds, k, edges)
 
 
 def start_growth(measure: AtomicMeasure, seed: int, *,
                  pair_skip: float = DEFAULT_PAIR_SKIP) -> GrowthState:
     """A fresh trajectory at zero rounds for the given measure and seed."""
+    _check_draw_args(0, seed, pair_skip)
     empty = MultiGraph(0, len(measure), {})
     return GrowthState(measure, seed, empty, epoch=0, pair_skip=pair_skip)
 
@@ -380,6 +386,19 @@ def write_multigraph_csv(graph: MultiGraph, path) -> None:
               ((i, j, count) for (i, j), count in sorted(graph.edge_counts.items())))
 
 
+def _read_edges(path, header, atom_count):
+    """An edge-list CSV's rows by pair, where no pair may repeat, and the atom count."""
+    edges = {}
+    for i, j, *rest in read_csv(path, header):
+        pair = (int(i), int(j))
+        if pair in edges:
+            raise ParameterError(f"{path}: pair {pair} appears on more than one row")
+        edges[pair] = rest
+    if atom_count is None:
+        atom_count = 1 + max((j for _, j in edges), default=-1)
+    return edges, atom_count
+
+
 def read_multigraph_csv(path, n_rounds: int | None = None,
                         atom_count: int | None = None) -> MultiGraph:
     """Read an ``i,j,count`` file.
@@ -387,10 +406,8 @@ def read_multigraph_csv(path, n_rounds: int | None = None,
     When ``n_rounds`` is unknown the largest count observed is used, the
     smallest round total consistent with the data.
     """
-    edges = {(int(i), int(j)): int(count)
-             for i, j, count in read_csv(path, _MULTIGRAPH_HEADER)}
-    if atom_count is None:
-        atom_count = 1 + max((j for _, j in edges), default=-1)
+    rows, atom_count = _read_edges(path, _MULTIGRAPH_HEADER, atom_count)
+    edges = {pair: int(count) for pair, (count,) in rows.items()}
     if n_rounds is None:
         n_rounds = max(edges.values(), default=0)
     return MultiGraph(n_rounds, atom_count, edges)
@@ -403,7 +420,5 @@ def write_binarygraph_csv(graph: BinaryGraph, path) -> None:
 
 def read_binarygraph_csv(path, atom_count: int | None = None) -> BinaryGraph:
     """Read an ``i,j`` file written by :func:`write_binarygraph_csv`."""
-    pairs = {(int(i), int(j)) for i, j in read_csv(path, _BINARYGRAPH_HEADER)}
-    if atom_count is None:
-        atom_count = 1 + max((j for _, j in pairs), default=-1)
+    pairs, atom_count = _read_edges(path, _BINARYGRAPH_HEADER, atom_count)
     return BinaryGraph(frozenset(pairs), atom_count)

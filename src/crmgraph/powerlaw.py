@@ -5,8 +5,9 @@ effective vertices (type I), vertices of one fixed degree against effective
 vertices (type IIa), and vertices with one fixed triangle count against
 effective vertices (type IIb).  Within a single snapshot: the survival
 function of per-vertex degrees (type IIIa) and of per-vertex triangle counts
-(type IIIb) against the threshold.  All fits are ordinary least squares on
-base-10 logs, restricted to an x-quantile window.
+(type IIIb) against the threshold.  Type I is also fitted within each
+replica.  All fits are ordinary least squares on base-10 logs, restricted
+to an x-quantile window.
 """
 
 from __future__ import annotations
@@ -146,50 +147,54 @@ def ccdf(samples) -> CcdfCurve:
     from 0 to max(samples) - 1.
     """
     samples = np.asarray(samples, dtype=np.int64)
-    if samples.size == 0:
-        raise FitError("ccdf needs at least one sample")
     if np.any(samples < 0):
         raise FitError("samples must be nonnegative integers")
-    if samples.max() == 0:
+    return _survival(np.bincount(samples))
+
+
+def _survival(counts: np.ndarray) -> CcdfCurve:
+    """The curve of :func:`ccdf` from ``counts[v]`` = #(samples == v)."""
+    nonzero = np.flatnonzero(counts)
+    if nonzero.size == 0:
+        raise FitError("ccdf needs at least one sample")
+    if nonzero[-1] == 0:
         raise FitError("ccdf needs at least one positive sample")
-    at_most = np.cumsum(np.bincount(samples))  # at_most[M] = #(samples <= M)
-    thresholds = np.arange(samples.max())
-    survival = 1.0 - at_most[thresholds] / samples.size
-    return CcdfCurve(thresholds, survival)
-
-
-def _hist_samples(hist: dict[int, int]) -> np.ndarray:
-    values = np.array(sorted(hist), dtype=np.int64)
-    counts = np.array([hist[v] for v in sorted(hist)], dtype=np.int64)
-    return np.repeat(values, counts)
+    at_most = np.cumsum(counts)  # at_most[M] = #(samples <= M)
+    thresholds = np.arange(nonzero[-1])
+    return CcdfCurve(thresholds, 1.0 - at_most[thresholds] / at_most[-1])
 
 
 def _sweep_fit(rows, y_of, lower_q, upper_q):
-    """Pooled fit of a per-snapshot quantity against effective vertices."""
-    xs, ys, dropped = [], [], 0
-    for _, _, snap in rows:
-        x = snap.effective_vertices
-        y = y_of(snap)
-        if x > 0 and y > 0:
-            xs.append(x)
-            ys.append(y)
-        else:
-            dropped += 1
-    return fit_loglog(np.array(xs, float), np.array(ys, float), lower_q, upper_q), dropped
+    """Pooled fit of a per-snapshot quantity against effective vertices, and
+    a note: why the fit is missing, or how many zero rows it dropped."""
+    if len(rows) < _SWEEP_MIN_SNAPSHOTS:
+        return None, f"{len(rows)} snapshots, need {_SWEEP_MIN_SNAPSHOTS}"
+    xs = np.array([snap.effective_vertices for _, _, snap in rows], float)
+    ys = np.array([y_of(snap) for _, _, snap in rows], float)
+    keep = (xs > 0) & (ys > 0)
+    dropped = len(rows) - int(keep.sum())
+    try:
+        fit = fit_loglog(xs[keep], ys[keep], lower_q, upper_q)
+    except FitError as exc:
+        return None, str(exc)
+    return fit, f"dropped {dropped} zero-valued snapshots" if dropped else None
 
 
 def _tail_fit(hists, tail_lower_q, tail_upper_q):
-    """Survival-curve fit pooled over the histograms of one snapshot N."""
-    pooled: dict[int, int] = {}
-    for hist in hists:
-        for value, count in hist.items():
-            pooled[value] = pooled.get(value, 0) + count
-    curve = ccdf(_hist_samples(pooled))
-    keep = (curve.thresholds >= 1) & (curve.survival > 0.0)
+    """Survival-curve fit pooled over the histograms of one snapshot N, and its note."""
+    values = np.fromiter((v for hist in hists for v in hist), np.int64)
+    counts = np.fromiter((c for hist in hists for c in hist.values()), np.int64)
+    try:
+        if np.any(values < 0):
+            raise FitError("samples must be nonnegative integers")
+        curve = _survival(np.bincount(values, weights=counts).astype(np.int64))
+        keep = (curve.thresholds >= 1) & (curve.survival > 0.0)
+        fit = fit_loglog(curve.thresholds[keep].astype(float), curve.survival[keep],
+                         tail_lower_q, tail_upper_q)
+    except FitError as exc:
+        return None, str(exc)
     dropped = int(curve.thresholds.size - keep.sum())
-    fit = fit_loglog(curve.thresholds[keep].astype(float), curve.survival[keep],
-                     tail_lower_q, tail_upper_q)
-    return fit, dropped
+    return fit, f"dropped {dropped} zero-survival or zero thresholds" if dropped else None
 
 
 def classify(sweep, *, degree_r: int = 1, triangle_r: int = 1,
@@ -197,7 +202,9 @@ def classify(sweep, *, degree_r: int = 1, triangle_r: int = 1,
              lower_q: float = DEFAULT_LOWER_Q, upper_q: float = DEFAULT_UPPER_Q,
              tail_lower_q: float = DEFAULT_TAIL_LOWER_Q,
              tail_upper_q: float = DEFAULT_TAIL_UPPER_Q) -> PowerLawReport:
-    """Fit all five power-law types over sweep rows.
+    """Fit the five power-law types over pooled sweep rows, then type I
+    within each replica: ``fits`` holds I, IIa, IIb, IIIa, IIIb and then
+    ``I_replica<r>`` for every replica r, ascending.
 
     Parameters
     ----------
@@ -213,54 +220,34 @@ def classify(sweep, *, degree_r: int = 1, triangle_r: int = 1,
         Quantile windows for the sweep fits and the survival fits.
 
     A type with insufficient data is reported as ``None`` with the reason in
-    ``notes`` rather than failing the whole classification.
+    ``notes`` rather than failing the whole classification; a pooled fit
+    also notes the zero rows it dropped.
     """
     rows = list(getattr(sweep, "rows", sweep))
-    fits: dict[str, LogLogFit | None] = {}
-    notes: dict[str, str] = {}
-
     sweep_targets = {
         "I": lambda s: s.total_edges,
         "IIa": lambda s: s.degree_hist.get(degree_r, 0),
         "IIb": lambda s: s.triangle_hist.get(triangle_r, 0),
     }
-    for label, y_of in sweep_targets.items():
-        if len(rows) < _SWEEP_MIN_SNAPSHOTS:
-            fits[label] = None
-            notes[label] = f"{len(rows)} snapshots, need {_SWEEP_MIN_SNAPSHOTS}"
-            continue
-        try:
-            fits[label], dropped = _sweep_fit(rows, y_of, lower_q, upper_q)
-            if dropped:
-                notes[label] = f"dropped {dropped} zero-valued snapshots"
-        except FitError as exc:
-            fits[label] = None
-            notes[label] = str(exc)
+    results = {label: _sweep_fit(rows, y_of, lower_q, upper_q)
+               for label, y_of in sweep_targets.items()}
 
-    if rows:
-        n_star = snapshot_n if snapshot_n is not None else max(n for _, n, _ in rows)
-        chosen = [snap for _, n, snap in rows if n == n_star]
-    else:
-        n_star, chosen = None, []
-    tail_targets = {
-        "IIIa": lambda s: s.degree_hist,
-        "IIIb": lambda s: s.triangle_hist,
-    }
-    for label, hist_of in tail_targets.items():
-        if not chosen:
-            fits[label] = None
-            notes[label] = f"no snapshots at N={n_star}"
-            continue
-        try:
-            fits[label], dropped = _tail_fit([hist_of(s) for s in chosen],
-                                             tail_lower_q, tail_upper_q)
-            if dropped:
-                notes[label] = f"dropped {dropped} zero-survival or zero thresholds"
-        except FitError as exc:
-            fits[label] = None
-            notes[label] = str(exc)
+    if snapshot_n is None:
+        snapshot_n = max((n for _, n, _ in rows), default=None)
+    chosen = [snap for _, n, snap in rows if n == snapshot_n]
+    for label, hist in (("IIIa", "degree_hist"), ("IIIb", "triangle_hist")):
+        hists = [getattr(s, hist) for s in chosen]
+        results[label] = (_tail_fit(hists, tail_lower_q, tail_upper_q) if hists
+                          else (None, f"no snapshots at N={snapshot_n}"))
 
-    type_i = fits.get("I")
+    for replica in sorted({replica for replica, _, _ in rows}):
+        fit, note = _sweep_fit([row for row in rows if row[0] == replica],
+                               sweep_targets["I"], lower_q, upper_q)
+        results[f"I_replica{replica}"] = fit, note if fit is None else None
+
+    fits = {label: fit for label, (fit, _) in results.items()}
+    notes = {label: note for label, (_, note) in results.items() if note}
+    type_i = fits["I"]
     type_i_class = None if type_i is None else ("sparse" if type_i.slope < 2.0 else "dense")
     return PowerLawReport(fits, notes, type_i_class)
 

@@ -80,6 +80,18 @@ class TestGraphCommand:
                                "--n", "20", "--seed", "2", "--exact-rounds")
         assert code == 0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_exit_2(self, capsys, measure_csv, seed):
+        code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
+                                 "--n", "100", "--seed", seed)
+        assert code == 2 and seed in err and out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_pair_skip_exit_2(self, capsys, measure_csv, value):
+        code, _, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
+                               "--n", "100", "--pair-skip", value)
+        assert code == 2 and "pair_skip" in err
+
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),
                              "--n", "5")
@@ -107,6 +119,14 @@ class TestStatsCommand:
         edges = tmp_path / "edges.csv"
         edges.write_text("x,y\n0,1\n")
         assert run_cli(capsys, "stats", str(edges))[0] == 2
+
+    @pytest.mark.parametrize("text", ["i,j,count\n0,1,3\n0,2,1\n0,1,5\n",
+                                      "i,j\n0,1\n0,2\n0,1\n"])
+    def test_repeated_rows_exit_2(self, capsys, tmp_path, text):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text)
+        code, out, err = run_cli(capsys, "stats", str(edges))
+        assert code == 2 and "pair (0, 1)" in err and out == ""
 
 
 class TestSweepCommand:
@@ -219,6 +239,27 @@ class TestCcdfCommand:
         code, out, _ = run_cli(capsys, "ccdf", str(table), "--column", "degree")
         assert code == 0
         assert out.splitlines()[1] == "0,1.0"
+
+    @pytest.mark.parametrize("name,text,extra", [
+        ("plain.txt", "1\n2.7\n3\n", ()),
+        ("t.csv", "v,degree\n9,1\n9,2.7\n9,3\n", ("--column", "degree")),
+    ])
+    def test_fractional_sample_exit_2(self, capsys, tmp_path, name, text, extra):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "ccdf", str(path), *extra)
+        assert code == 2 and "'2.7'" in err and out == ""
+
+    @pytest.mark.parametrize("name,text,extra", [
+        ("plain.txt", "1\n2.0\n2\n3e0\n", ()),
+        ("t.csv", "v,degree\n9,1\n9,2.0\n9,2\n9,3e0\n", ("--column", "degree")),
+    ])
+    def test_integral_float_samples_accepted(self, capsys, tmp_path, name, text, extra):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "ccdf", str(path), *extra)
+        assert code == 0
+        assert out.splitlines() == ["M,survival", "0,1.0", "1,0.75", "2,0.25"]
 
     def test_all_zero_exit_2(self, capsys, tmp_path):
         samples = tmp_path / "z.txt"

@@ -8,6 +8,7 @@ from crmgraph.experiment import (DESK_PROFILE, PAPER_PROFILE, ExperimentConfig,
                                  ExperimentError, load_config, run_sweep,
                                  save_config, worker_count, write_scatter_svg)
 from crmgraph.measures import ParameterError
+from crmgraph.powerlaw import classify
 
 
 def small_config(tmp_path, **overrides):
@@ -101,6 +102,29 @@ class TestRunSweep:
         assert {s.effective_vertices for r, _, s in result.rows if r == 0} == {5}
         assert result.replica_type_i[0] is None
         assert "constant" in result.report.notes["I_replica0"]
+
+    def test_fit_table_is_one_classify_report(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "classify", counted)
+        # every pooled type is fitted; replicas 0 and 2 have a constant V
+        # window, so only replica 1 has a type I fit
+        cfg = small_config(tmp_path, rounds=2, n_start=10, n_stop=200, n_step=10,
+                           seed=2, replicas=3)
+        result = run_sweep(cfg)
+        assert len(calls) == 1
+        labels = [line.split(",")[0] for line in
+                  (tmp_path / "out" / "fits.csv").read_text().splitlines()[1:]]
+        present = [label for label, fit in result.report.fits.items() if fit is not None]
+        assert labels == present
+        assert labels == ["I", "IIa", "IIb", "IIIa", "IIIb", "I_replica1"]
+        assert result.replica_type_i == {r: result.report.fits[f"I_replica{r}"]
+                                         for r in range(3)}
 
     def test_outputs_and_schema(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "1")

@@ -126,6 +126,25 @@ class TestGenerate:
         p = 0.99 * 0.98
         assert abs(count - 2000 * p) < 6 * math.sqrt(2000 * p * (1 - p))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("draw", [
+        lambda seed: generate(THREE, 10, seed),
+        lambda seed: start_growth(THREE, seed),
+        lambda seed: generate_exact_rounds(THREE, 10, seed),
+    ], ids=["generate", "start_growth", "generate_exact_rounds"])
+    def test_seed_outside_64_bits_rejected(self, draw, seed):
+        # derive_key masks to 64 bits, so these would alias seeds 2**64 - 1 and 0
+        with pytest.raises(ParameterError, match=re.escape(str(seed))):
+            draw(seed)
+        draw(2**64 - 1)
+
+    @pytest.mark.parametrize("pair_skip", [-1.0, math.nan, math.inf])
+    def test_bad_pair_skip_rejected(self, pair_skip):
+        with pytest.raises(ParameterError, match="pair_skip"):
+            generate(THREE, 10, 0, pair_skip=pair_skip)
+        with pytest.raises(ParameterError, match="pair_skip"):
+            start_growth(THREE, 0, pair_skip=pair_skip)
+
 
 class TestPairSkipping:
     def test_bound_matches_brute_force(self):
@@ -384,6 +403,16 @@ class TestEdgeCsv:
         assert lines[0] == "i,j"
         back = read_binarygraph_csv(path, atom_count=z.atom_count)
         assert back.adjacency == z.adjacency
+
+    @pytest.mark.parametrize("read,text", [
+        (read_multigraph_csv, "i,j,count\n0,1,3\n1,2,2\n1,2,1\n0,1,5\n"),
+        (read_binarygraph_csv, "i,j\n0,1\n1,2\n1,2\n0,1\n"),
+    ], ids=["multigraph", "binary"])
+    def test_repeated_rows_rejected(self, tmp_path, read, text):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape("pair (1, 2)")):
+            read(path)
 
     def test_bad_headers_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -236,6 +236,58 @@ class TestClassify:
         report = classify(Holder())
         assert report.fits["I"] is not None
 
+    def test_replica_fits_match_each_replica_alone(self):
+        # replicas 5, 0 and 2 interleaved: two with their own slope (replica 0
+        # also drops a zero row), one with too few snapshots for a fit
+        rows = []
+        for n, v in enumerate(range(10, 210, 10), start=1):
+            rows.append((5, n, snapshot(n, v, v ** 1.3, {2: v}, {0: v})))
+            rows.append((0, n, snapshot(n, v + 3, (v + 3) ** 1.8, {2: v}, {0: v})))
+            if n <= 4:
+                rows.append((2, n, snapshot(n, v, v, {2: v}, {0: v})))
+        rows.append((0, 999, snapshot(999, 0, 0)))
+        report = classify(rows, lower_q=0.0, upper_q=1.0)
+        assert list(report.fits) == ["I", "IIa", "IIb", "IIIa", "IIIb",
+                                     "I_replica0", "I_replica2", "I_replica5"]
+        for r in (0, 2, 5):
+            alone = classify([row for row in rows if row[0] == r], lower_q=0.0, upper_q=1.0)
+            assert report.fits[f"I_replica{r}"] == alone.fits["I"]
+        assert report.fits["I_replica2"] is None
+        assert report.notes["I_replica2"] == "4 snapshots, need 10"
+        # a present per-replica fit carries no note, even after dropping rows
+        assert "dropped 1" in classify([row for row in rows if row[0] == 0]).notes["I"]
+        assert "I_replica0" not in report.notes and "I_replica5" not in report.notes
+
+    def test_tail_fit_from_counts_matches_expanded_samples(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        hists = st.lists(st.dictionaries(st.integers(0, 60), st.integers(1, 50),
+                                         max_size=30), min_size=1, max_size=4)
+
+        def expanded_fit(hists):
+            """The type III fit from one sample per vertex, as a reference."""
+            samples = np.concatenate([np.repeat(np.array(list(h), dtype=np.int64),
+                                                list(h.values())) for h in hists])
+            try:
+                curve = ccdf(samples)
+                keep = (curve.thresholds >= 1) & (curve.survival > 0.0)
+                return fit_loglog(curve.thresholds[keep].astype(float),
+                                  curve.survival[keep], 0.0, 0.8), None
+            except FitError as exc:
+                return None, str(exc)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(hists)
+        def check(hists):
+            rows = [(r, 100, snapshot(100, 1, 0, h, {0: 1})) for r, h in enumerate(hists)]
+            report = classify(rows, tail_lower_q=0.0, tail_upper_q=0.8)
+            fit, error = expanded_fit(hists)
+            assert report.fits["IIIa"] == fit
+            if error is not None:
+                assert report.notes["IIIa"] == error
+
+        check()
+
 
 class TestFitReports:
     def test_csv_and_json_mirror_identical_values(self, tmp_path):
