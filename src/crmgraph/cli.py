@@ -52,11 +52,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of edge rounds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--binary", action="store_true", help="emit i,j instead of i,j,count")
-    p.add_argument("--pair-skip", type=float, default=graphs.DEFAULT_PAIR_SKIP,
-                   help="skip pairs whose expected edge count n*w_i*w_j is below this; "
-                        "0 draws every pair")
-    p.add_argument("--exact-rounds", action="store_true",
-                   help="literal round-by-round reference sampler (small inputs only)")
+    sampler = p.add_mutually_exclusive_group()
+    sampler.add_argument("--pair-skip", type=float, default=graphs.DEFAULT_PAIR_SKIP,
+                         help="skip pairs whose expected edge count n*w_i*w_j is below "
+                              "this; 0 draws every pair")
+    sampler.add_argument("--exact-rounds", action="store_true",
+                         help="literal round-by-round reference sampler (small inputs "
+                              "only); it draws every pair, so it takes no --pair-skip")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("stats", help="snapshot statistics of an edge-list CSV")

@@ -10,18 +10,31 @@ and the literal round-by-round sampler is kept as a small-scale oracle.
 Per-pair randomness is keyed by (seed, i, j, epoch), so any partitioning of
 the pair enumeration across workers merges to the same result, and growing a
 graph in increments (one epoch per increment) is reproducible from scratch.
+
+Most pairs draw a zero count, and the draw finds that out cheaply.  A pair's
+count comes from its keyed uniform ``(h >> 11) * 2**-53``, where h is the
+pair's 64-bit hash, and is zero exactly when that uniform lies below the
+zero-count probability ``q0 = (1 - p)^n``; pairs whose q0 underflows draw
+from their own Philox stream instead.  Walking the atoms by descending
+weight, row a pairs atom a only with lighter atoms, so every pair of the row
+has p at most that of the row's first pair, and q0 at least that pair's.  A
+hash below that level, less a margin far wider than the rounding of log1p
+and exp, is therefore a zero count for certain, found by one integer
+compare.  Only the other pairs run the binomial draw, which gives each the
+count it gets when every pair runs it, so the graph, edge order included,
+does not depend on the filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .fileio import read_csv, write_csv
 from .measures import AtomicMeasure, ParameterError
-from .rng import derive_key, pair_uniforms, philox, row_keys
+from .rng import derive_key, pair_hashes, pair_uniforms, philox, row_keys
 
 __all__ = [
     "MultiGraph",
@@ -50,10 +63,20 @@ _EXACT_MAX_ROUNDS = 1000
 # pairs fall back to a per-pair Philox stream instead of the inversion scan.
 _LOG_PMF0_MIN = -600.0
 
-# Kept pairs per block of rows drawn at once.  About a dozen arrays of this
-# length are live per block, so generator memory follows this constant plus
-# the edges, not the number of atom pairs.
+# Relative margin by which a row's zero-count threshold sits below the level
+# of its heaviest pair: far wider than the few-ulp rounding of log1p and exp,
+# far too narrow to cost a measurable share of the pairs.
+_ZERO_SLACK = 2.0**-30
+
+# Pairs that may be edges, drawn by _binomial_counts at once; also the
+# number of edges validated at once.  About a dozen arrays of this length
+# are live per draw, so generator memory follows this constant plus the
+# edges, not the number of atom pairs.
 _PAIR_BLOCK = 1 << 16
+
+# Pairs hashed at once, in work buffers of this length (or a longer row's).
+# Larger blocks were no faster and raised peak RSS.
+_HASH_BLOCK = 1 << 14
 
 _MULTIGRAPH_HEADER = ("i", "j", "count")
 _BINARYGRAPH_HEADER = ("i", "j")
@@ -79,8 +102,8 @@ class MultiGraph:
     def __post_init__(self):
         if self.n_rounds < 0:
             raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
-        counts = _int64_array(self.edge_counts.values(), len(self.edge_counts))
-        _check_pairs(_pair_array(self.edge_counts), self.atom_count, counts, self.n_rounds)
+        _check_edges(self.edge_counts, self.atom_count, self.edge_counts.values(),
+                     self.n_rounds)
 
     def total_edges(self) -> int:
         """Number of distinct connected pairs."""
@@ -96,7 +119,7 @@ class BinaryGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", frozenset(self.adjacency))
-        _check_pairs(_pair_array(self.adjacency), self.atom_count)
+        _check_edges(self.adjacency, self.atom_count)
 
 
 def _int64_array(values, count: int) -> np.ndarray:
@@ -121,6 +144,19 @@ def _check_draw_args(n_rounds: int, seed: int, pair_skip: float = 0.0) -> int:
     if not 0.0 <= pair_skip < np.inf:
         raise ParameterError(f"pair_skip must be finite and >= 0, got {pair_skip}")
     return int(n_rounds)
+
+
+def _check_edges(pairs, atom_count: int, counts=None, n_rounds=None) -> None:
+    """:func:`_check_pairs` over an edge container's pairs and, when given,
+    their counts (in the same order), ``_PAIR_BLOCK`` pairs at a time, so
+    the arrays it builds stay small."""
+    pair_iter = iter(pairs)
+    count_iter = None if counts is None else iter(counts)
+    for done in range(0, len(pairs), _PAIR_BLOCK):
+        m = min(_PAIR_BLOCK, len(pairs) - done)
+        block_counts = None if counts is None else _int64_array(islice(count_iter, m), m)
+        block = _int64_array(chain.from_iterable(islice(pair_iter, m)), 2 * m)
+        _check_pairs(block.reshape(-1, 2), atom_count, block_counts, n_rounds)
 
 
 def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None) -> None:
@@ -166,13 +202,13 @@ class GrowthState:
 
 
 def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float):
-    """Enumerate pairs worth drawing, in descending-weight order.
+    """Which pairs are worth drawing, in descending-weight order.
 
-    Returns a lazy sequence of blocks of original-index arrays (i, j) with
-    i < j and their probabilities, and the (skipped pair count, skipped
-    expected-edge mass) accounting.  Only the per-atom arrays are global;
-    each block holds the pairs of consecutive rows of the order, so memory
-    follows ``_PAIR_BLOCK`` rather than the number of pairs.
+    Returns the descending-weight ``order`` of the atoms, their sorted
+    weights ``ws``, the row lengths ``lens`` (row a pairs position a with
+    positions a+1 .. a+lens[a]), and the (skipped pair count, skipped
+    expected-edge mass) accounting.  Every array is per atom; the pairs
+    themselves are enumerated block by block by the caller.
     """
     k = weights.size
     order = np.argsort(-weights, kind="stable")
@@ -185,18 +221,13 @@ def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float):
     cut = np.searchsorted(-ws, -thresholds, side="right")
 
     lens = np.clip(cut - np.arange(k) - 1, 0, None)
-    total_kept = int(lens.sum())
-
     skipped_bound = 0.0
-    skipped = total_pairs - total_kept
+    skipped = total_pairs - int(lens.sum())
     if skipped:
         suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
         first_skipped = np.maximum(cut, np.arange(k) + 1)
         skipped_bound = float(n_rounds * (ws * suffix[first_skipped]).sum())
-
-    blocks = (_block_pairs(order, ws, lens, start, stop)
-              for start, stop in _row_blocks(lens))
-    return blocks, skipped, skipped_bound
+    return order, ws, lens, skipped, skipped_bound
 
 
 def _row_blocks(lens: np.ndarray, block: int | None = None):
@@ -226,14 +257,21 @@ def _row_pairs(lens: np.ndarray, start: int, stop: int):
     return a, b
 
 
-def _block_pairs(order: np.ndarray, ws: np.ndarray, lens: np.ndarray,
-                 start: int, stop: int):
-    """Original-index pairs (i < j) and probabilities of rows start..stop-1
-    of the descending-weight order."""
-    a, b = _row_pairs(lens, start, stop)
-    oi, oj = order[a], order[b]
-    probs = ws[a] * ws[b]
-    return np.minimum(oi, oj), np.maximum(oi, oj), probs
+def _zero_thresholds(ws: np.ndarray, n_rounds: int) -> np.ndarray:
+    """Per row a of the descending order, a 64-bit pair hash below which the
+    count of every pair of the row is zero.
+
+    Row a's heaviest pair is (a, a+1), so every pair of the row has
+    ``p <= ws[a] * ws[a+1]`` and a zero-count probability ``q0 = (1 - p)^n``
+    at least that pair's.  The threshold is that level, shrunk by
+    ``_ZERO_SLACK`` to absorb rounding in ``log1p`` and ``exp``, and put on the
+    hash scale of :func:`~crmgraph.rng.pair_uniforms`.  It is zero wherever
+    the level is below 2**-53, which includes every row with a Philox pair.
+    """
+    heaviest = np.append(ws[:-1] * ws[1:], 0.0)  # the last row has no pairs
+    q0 = np.exp(n_rounds * np.log1p(-heaviest))
+    level = np.floor(q0 * (1.0 - _ZERO_SLACK) * 2.0**53).astype(np.uint64)
+    return level << np.uint64(11)
 
 
 def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
@@ -278,20 +316,77 @@ def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
     return counts
 
 
+def _survivor_batches(order: np.ndarray, lens: np.ndarray, atom_keys: np.ndarray,
+                      zero_below: np.ndarray):
+    """The pairs whose count may be nonzero, as original indices (i, j),
+    i < j, in row order, in batches of at most ``_PAIR_BLOCK`` pairs (more
+    only when one hash block alone keeps more).
+
+    A pair is kept when its hash is at or above its row's ``zero_below``
+    threshold.  Rows are hashed ``_HASH_BLOCK`` pairs at a time (a longer row
+    goes alone) in work buffers shared by every block.
+    """
+    row_len = lens.tolist()
+    ends = np.concatenate([[0], np.cumsum(lens)])
+    size = min(int(ends[-1]), max(_HASH_BLOCK, max(row_len)))
+    hashes = np.empty(size, dtype=np.uint64)
+    lo_buf, hi_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
+    parts, held = [], 0
+    for s, e in _row_blocks(lens, _HASH_BLOCK):
+        n = int(ends[e] - ends[s])
+        # row a pairs atom order[a] with the atoms order[a+1 : a+1+lens[a]]
+        hi = np.concatenate([order[a + 1:a + 1 + row_len[a]] for a in range(s, e)],
+                            out=hi_buf[:n])
+        lo = np.repeat(order[s:e], lens[s:e])
+        i = np.minimum(lo, hi, out=lo_buf[:n])
+        j = np.maximum(lo, hi, out=hi)
+        h = pair_hashes(atom_keys.take(i, out=hashes[:n], mode="clip"),
+                        j.view(np.uint64), out=hashes[:n])
+        keep = np.flatnonzero(h >= np.repeat(zero_below[s:e], lens[s:e]))
+        if parts and held + keep.size > _PAIR_BLOCK:
+            yield _drain(parts)
+            held = 0
+        parts.append((i[keep], j[keep]))
+        held += keep.size
+    if parts:
+        yield _drain(parts)
+
+
+def _drain(parts: list):
+    """The (i, j) pieces in ``parts`` joined, emptying the list so that the
+    pieces are freed before the joined arrays are used."""
+    joined = tuple(np.concatenate(piece) for piece in zip(*parts))
+    parts.clear()
+    return joined
+
+
 def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
                     epoch: int, pair_skip: float):
-    """One epoch of pair draws: {pair: positive count}, skip accounting."""
+    """One epoch of pair draws: {pair: positive count}, skip accounting.
+
+    Each kept pair is hashed and compared with its row's
+    :func:`_zero_thresholds` entry.  A hash below it puts the pair's keyed
+    uniform below the zero-count level of the row's heaviest pair, which is
+    at most the pair's own level, so the pair's count is zero for certain.
+    Only the other pairs reach :func:`_binomial_counts`, whose counts depend
+    on nothing but the pair, so the counts and the order of the nonzero ones
+    are those of drawing every pair.
+    """
     weights = measure.weights
     if delta_rounds == 0 or weights.size < 2:
         return {}, 0, 0.0
-    blocks, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip)
+    order, ws, lens, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip)
     base_key = derive_key(seed, epoch)
     atom_keys = row_keys(base_key, weights.size)
     edges = {}
-    for i, j, probs in blocks:
-        counts = _binomial_counts(base_key, atom_keys, i, j, delta_rounds, probs)
+    for i, j in _survivor_batches(order, lens, atom_keys,
+                                  _zero_thresholds(ws, delta_rounds)):
+        # weights[i] * weights[j] is bit for bit the ws[a] * ws[b] of the pair
+        counts = _binomial_counts(base_key, atom_keys, i, j, delta_rounds,
+                                  weights[i] * weights[j])
         nz = np.flatnonzero(counts)
         edges.update(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
+        del i, j, counts, nz  # freed before the next batch is joined
     return edges, skipped, bound
 
 

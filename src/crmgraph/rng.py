@@ -37,9 +37,12 @@ def derive_key(*fields: int) -> int:
     return h
 
 
-def mix64_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer over a uint64 array."""
-    x = x + np.uint64(_GOLDEN)
+def mix64_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized SplitMix64 finalizer over a uint64 array.
+
+    Writes into ``out`` when given; ``out`` may be ``x`` itself.
+    """
+    x = np.add(x, np.uint64(_GOLDEN), out=out)
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
@@ -51,28 +54,32 @@ def mix64_array(x: np.ndarray) -> np.ndarray:
 def row_keys(base_key: int, count: int) -> np.ndarray:
     """The first half ``mix64(base_key ^ i)`` of the per-item hash, i < count.
 
-    Gathering these by ``i`` and passing them to :func:`pair_uniforms` gives
-    :func:`keyed_uniforms` bit-for-bit, at one hash per row instead of one
-    per item.
+    Gathering these by ``i`` and passing them to :func:`pair_hashes` gives
+    the item (i, j) its hash ``mix64(mix64(base_key ^ i) ^ j)``, at one hash
+    per row instead of two per item.  The value depends only on (base_key,
+    i, j), never on the position of the item within the arrays, which is what
+    makes merged results from any partitioning of the items identical to a
+    serial pass.
     """
     return mix64_array(np.uint64(base_key & _MASK64) ^ np.arange(count, dtype=np.uint64))
 
 
-def pair_uniforms(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Finish the per-item hash from gathered row keys: uniforms in [0, 1)."""
-    h = mix64_array(row_key ^ j.astype(np.uint64))
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+def pair_hashes(row_key: np.ndarray, j: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Finish the per-item 64-bit hash ``mix64(row_key ^ j)`` from gathered
+    row keys.
 
-
-def keyed_uniforms(base_key: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """One uniform in [0, 1) per (i, j) item under a fixed base key.
-
-    The value depends only on (base_key, i[k], j[k]), never on the position
-    of the item within the arrays, which is what makes merged results from
-    any partitioning of the items identical to a serial pass.
+    Writes into ``out`` when given; ``out`` may be ``row_key`` itself.  A
+    uint64 ``j`` is read in place, any other integer dtype is copied.
     """
-    h = mix64_array(np.uint64(base_key & _MASK64) ^ i.astype(np.uint64))
-    return pair_uniforms(h, j)
+    h = np.bitwise_xor(row_key, j.astype(np.uint64, copy=False), out=out)
+    return mix64_array(h, out=h)
+
+
+def pair_uniforms(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Per-item uniforms in [0, 1): the top 53 bits of :func:`pair_hashes`."""
+    h = pair_hashes(row_key, j)
+    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def philox(*key_fields: int) -> np.random.Generator:

@@ -80,6 +80,14 @@ class TestGraphCommand:
                                "--n", "20", "--seed", "2", "--exact-rounds")
         assert code == 0
 
+    @pytest.mark.parametrize("skip_args", [("--pair-skip", "-1"), ("--pair-skip", "0"),
+                                           ("--pair-skip=1e-12",)])
+    def test_exact_rounds_takes_no_pair_skip(self, capsys, measure_csv, skip_args):
+        code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
+                                 "--n", "20", "--exact-rounds", *skip_args)
+        assert code == 1 and out == ""
+        assert "usage" in err.lower() and "not allowed with" in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exit_2(self, capsys, measure_csv, seed):
         code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),

@@ -14,7 +14,7 @@ from crmgraph.graphs import (BinaryGraph, MultiGraph, _select_pairs, binarize,
                              write_multigraph_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, sample_three_param_bp)
-from crmgraph.rng import keyed_uniforms, pair_uniforms, row_keys
+from crmgraph.rng import derive_key, mix64, pair_hashes, pair_uniforms, row_keys
 
 
 def measure(*weights):
@@ -30,10 +30,23 @@ def sampled_measure(seed=42, rounds=400):
 
 
 def selected_pairs(weights, n_rounds, pair_skip):
-    """All blocks of _select_pairs joined: (i, j, probs, skipped, bound)."""
-    blocks, skipped, bound = _select_pairs(weights, n_rounds, pair_skip)
-    i, j, probs = (np.concatenate(parts) for parts in zip(*blocks))
-    return i, j, probs, skipped, bound
+    """Every pair _select_pairs keeps, in row order: (i, j, probs, skipped, bound)."""
+    order, ws, lens, skipped, bound = _select_pairs(weights, n_rounds, pair_skip)
+    a, b = graphs._row_pairs(lens, 0, lens.size)
+    oi, oj = order[a], order[b]
+    return np.minimum(oi, oj), np.maximum(oi, oj), ws[a] * ws[b], skipped, bound
+
+
+def keyed_hashes(base_key, i, j):
+    """Reference for row_keys and pair_hashes: the scalar SplitMix64 hash
+    mix64(mix64(base_key ^ i) ^ j) of each (i, j) item, item by item."""
+    return [mix64(mix64(base_key ^ int(a)) ^ int(b)) for a, b in zip(i, j)]
+
+
+def keyed_uniforms(base_key, i, j):
+    """Reference for pair_uniforms: one uniform in [0, 1) per (i, j) item,
+    the top 53 bits of its keyed hash."""
+    return np.array([(h >> 11) * 2.0 ** -53 for h in keyed_hashes(base_key, i, j)])
 
 
 def merged_tail_hist(a, b, min_count=10):
@@ -236,6 +249,18 @@ class TestPairBlocks:
         assert np.array_equal(pair_uniforms(row_keys(base, 500)[i], j),
                               keyed_uniforms(base, i, j))
 
+    def test_pair_hashes_reproduce_keyed_hashes(self):
+        rng = np.random.default_rng(1)
+        i = rng.integers(0, 500, 1000)
+        j = rng.integers(0, 500, 1000)
+        base = 0xDEADBEEFCAFEF00D
+        expected = np.array(keyed_hashes(base, i, j), dtype=np.uint64)
+        assert np.array_equal(pair_hashes(row_keys(base, 500)[i], j), expected)
+        # in place, with j read as uint64 without a copy
+        out = row_keys(base, 500)[i]
+        assert pair_hashes(out, j.view(np.uint64), out=out) is out
+        assert np.array_equal(out, expected)
+
     def test_generate_memory_is_bounded(self):
         # 3000 atoms keep all 4.5M pairs, which held 279 MB if drawn unblocked
         k = 3000
@@ -248,6 +273,119 @@ class TestPairBlocks:
             tracemalloc.stop()
         assert g.skipped_pairs == 0 and g.total_edges() > 0
         assert peak < 64 * 2 ** 20
+
+
+def reference_draw(weights, n_rounds, seed, epoch, pair_skip):
+    """One epoch with no hash filter: every kept pair, in row order of the
+    descending-weight order, drawn by _binomial_counts in one call.  Returns
+    the items of the nonzero counts."""
+    k = weights.size
+    order = np.argsort(-weights, kind="stable")
+    ws = weights[order]
+    a, b = np.triu_indices(k, 1)
+    kept = ws[b] >= pair_skip / (n_rounds * ws[a])
+    a, b = a[kept], b[kept]
+    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
+    probs = ws[a] * ws[b]
+    base = derive_key(seed, epoch)
+    counts = graphs._binomial_counts(base, row_keys(base, k), i, j, n_rounds, probs)
+    # a pair whose keyed uniform lies below its zero-count level draws zero
+    log_q0 = n_rounds * np.log1p(-probs)
+    zero = (keyed_uniforms(base, i, j) < np.exp(log_q0)) & (log_q0 >= graphs._LOG_PMF0_MIN)
+    assert not counts[zero].any()
+    nz = np.flatnonzero(counts)
+    return list(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
+
+
+def spread_weights(rng, k):
+    """k weights log-uniform over 1e-9 .. 0.99, with a tie among them."""
+    w = np.exp(rng.uniform(math.log(1e-9), math.log(0.99), k))
+    w[-1] = w[0]
+    return w
+
+
+class TestHashFirst:
+    ROUNDS = (1, 3, 50, 1000, 10**6)
+
+    def test_row_threshold_is_conservative(self):
+        # every pair of row a has a zero-count level, on the hash scale, at
+        # or above the row threshold, and no Philox pair sits under one
+        q0_one = zero_rows = philox_pairs = 0
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            ws = np.sort(spread_weights(rng, 60))[::-1]
+            n = self.ROUNDS[seed % len(self.ROUNDS)]
+            thresholds = [int(t) for t in graphs._zero_thresholds(ws, n)]
+            a, b = np.triu_indices(ws.size, 1)
+            log_q0 = n * np.log1p(-(ws[a] * ws[b]))
+            q0 = np.exp(log_q0)
+            for row, level, lq in zip(a.tolist(), q0.tolist(), log_q0.tolist()):
+                limit = math.ceil(level * 2**53) << 11
+                assert limit >= thresholds[row]
+                if thresholds[row]:
+                    assert lq >= graphs._LOG_PMF0_MIN
+                philox_pairs += lq < graphs._LOG_PMF0_MIN
+            # the margin: each threshold stays below its row's own first-pair
+            # level, so rounding in log1p or exp cannot lift it over a pair
+            first = np.exp(n * np.log1p(-(ws[:-1] * ws[1:])))
+            for row, level in enumerate(first.tolist()):
+                if thresholds[row]:
+                    assert thresholds[row] < math.ceil(level * 2**53) << 11
+                q0_one += level == 1.0
+                zero_rows += thresholds[row] == 0
+        assert q0_one and zero_rows and philox_pairs
+
+    @pytest.mark.parametrize("pair_block,hash_block", [
+        (1, 1), (7, 3), (graphs._PAIR_BLOCK, 7), (graphs._PAIR_BLOCK, graphs._HASH_BLOCK)])
+    @pytest.mark.parametrize("pair_skip", [0.0, graphs.DEFAULT_PAIR_SKIP, 1e-3])
+    def test_draws_equal_every_pair_reference(self, pair_skip, pair_block, hash_block):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        weight = st.floats(math.log(1e-9), math.log(0.99)).map(math.exp)
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(st.lists(weight, max_size=40),
+                          st.sampled_from(self.ROUNDS) | st.integers(1, 5000),
+                          st.lists(st.integers(1, 10**5), min_size=5, max_size=5),
+                          st.integers(0, 2**64 - 1))
+        def check(weights, n, deltas, seed):
+            m = AtomicMeasure(np.array(weights), np.arange(len(weights)) / 64)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(graphs, "_PAIR_BLOCK", pair_block)
+                patch.setattr(graphs, "_HASH_BLOCK", hash_block)
+                g = generate(m, n, seed, pair_skip=pair_skip)
+                state = start_growth(m, seed, pair_skip=pair_skip)
+                for delta in deltas:
+                    state = extend(state, delta)
+            assert list(g.edge_counts.items()) == reference_draw(
+                m.weights, n, seed, 0, pair_skip)
+            grown = {}
+            for epoch, delta in enumerate(deltas, start=1):
+                for pair, count in reference_draw(m.weights, delta, seed, epoch, pair_skip):
+                    grown[pair] = grown.get(pair, 0) + count
+            assert list(state.graph.edge_counts.items()) == list(grown.items())
+
+        check()
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 2): 1, (0, 9): 1}, "loop (2, 2)"),
+        ({(0, 1): 1, (0, 2): 1, (3, 1): 1, (1, 2): 1, (2, 2): 1}, "pair (3, 1) out of range"),
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 5, (0, 3): 6, (3, 1): 1}, "count 6 for pair (0, 3)"),
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 2**70, (2, 2): 1}, "outside the int64 range"),
+    ])
+    def test_chunked_validation_names_first_offending_pair(self, monkeypatch, edges, message):
+        # two pairs per chunk: the first offender sits in the second chunk,
+        # the next one in the second or third
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 2)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, 4, edges)
+
+    def test_chunked_binary_validation(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 2)
+        good = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+        BinaryGraph(frozenset(good), 4)
+        with pytest.raises(ParameterError, match=re.escape("pair (2, 4) out of range")):
+            BinaryGraph(frozenset(good | {(2, 4)}), 4)
 
 
 class TestGrowth:
