@@ -6,11 +6,10 @@ a config-driven sweep harness with a CLI.
 """
 
 from .measures import (AtomicMeasure, BetaProcessParams, ParameterError,
-                       StickBreakingConfig, rate_density, sample_three_param_bp,
-                       sorted_view)
+                       StickBreakingConfig, rate_density, sample_three_param_bp)
 from .graphs import (BinaryGraph, GrowthState, MultiGraph, binarize, extend,
                      generate, generate_exact_rounds, start_growth)
-from .stats import GraphStats, VertexProfile, degrees, summarize, triangles
+from .stats import GraphStats, degrees, summarize, triangles
 from .powerlaw import CcdfCurve, FitError, LogLogFit, PowerLawReport, ccdf, classify, fit_loglog
 from .experiment import ExperimentConfig, ExperimentError, SweepResult, run_sweep
 
@@ -18,10 +17,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure", "BetaProcessParams", "ParameterError", "StickBreakingConfig",
-    "rate_density", "sample_three_param_bp", "sorted_view",
+    "rate_density", "sample_three_param_bp",
     "BinaryGraph", "GrowthState", "MultiGraph", "binarize", "extend",
     "generate", "generate_exact_rounds", "start_growth",
-    "GraphStats", "VertexProfile", "degrees", "summarize", "triangles",
+    "GraphStats", "degrees", "summarize", "triangles",
     "CcdfCurve", "FitError", "LogLogFit", "PowerLawReport", "ccdf", "classify", "fit_loglog",
     "ExperimentConfig", "ExperimentError", "SweepResult", "run_sweep",
     "__version__",

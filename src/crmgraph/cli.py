@@ -52,13 +52,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="number of edge rounds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--binary", action="store_true", help="emit i,j instead of i,j,count")
-    sampler = p.add_mutually_exclusive_group()
-    sampler.add_argument("--pair-skip", type=float, default=graphs.DEFAULT_PAIR_SKIP,
-                         help="skip pairs whose expected edge count n*w_i*w_j is below "
-                              "this; 0 draws every pair")
-    sampler.add_argument("--exact-rounds", action="store_true",
-                         help="literal round-by-round reference sampler (small inputs "
-                              "only); it draws every pair, so it takes no --pair-skip")
+    p.add_argument("--exact-rounds", action="store_true",
+                   help="literal round-by-round reference sampler (small inputs only)")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("stats", help="snapshot statistics of an edge-list CSV")
@@ -106,7 +101,7 @@ def _cmd_graph(args) -> int:
     if args.exact_rounds:
         graph = graphs.generate_exact_rounds(measure, args.n, args.seed)
     else:
-        graph = graphs.generate(measure, args.n, args.seed, pair_skip=args.pair_skip)
+        graph = graphs.generate(measure, args.n, args.seed)
     if args.binary:
         graphs.write_binarygraph_csv(graphs.binarize(graph), args.out)
     else:
@@ -159,8 +154,7 @@ def _cmd_sweep(args) -> int:
     type_i = result.report.fits.get("I")
     tag = f"{type_i.slope:.3f} ({result.report.type_i_class})" if type_i else "unavailable"
     print(f"wrote {cfg.out_dir}/{{config.json,sweep.csv,hist.csv,fits.csv,fits.json}}")
-    print(f"type I slope: {tag}; max skipped-edge bound: {result.max_skip_bound:.3g}; "
-          f"{result.elapsed_seconds:.1f}s")
+    print(f"type I slope: {tag}; {result.elapsed_seconds:.1f}s")
     return 0
 
 

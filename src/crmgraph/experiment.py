@@ -112,8 +112,13 @@ class SweepResult:
     rows: list[tuple[int, int, GraphStats]]  # (replica, n_rounds, stats)
     report: PowerLawReport
     replica_type_i: dict[int, LogLogFit | None]
-    max_skip_bound: float
     elapsed_seconds: float
+
+    @property
+    def max_skip_bound(self) -> float:
+        """Always 0.0: no pair is skipped, so no edge is missed.  Kept only
+        while the benchmark reads it; it goes once the benchmark stops."""
+        return 0.0
 
 
 def worker_count(replicas: int) -> int:
@@ -131,11 +136,10 @@ def worker_count(replicas: int) -> int:
 
 
 def _replica_rows(cfg: ExperimentConfig, replica: int):
-    """All snapshots of one replica, plus its peak skip bound."""
+    """All snapshots of one replica."""
     replica_seed = derive_key(cfg.seed, replica)
     measure = sample_three_param_bp(cfg.params(), cfg.sticks(replica_seed))
     rows = []
-    skip_bound = 0.0
     if cfg.growth_mode == "coupled":
         state = start_growth(measure, derive_key(replica_seed, 1))
         prev = 0
@@ -144,19 +148,17 @@ def _replica_rows(cfg: ExperimentConfig, replica: int):
                 state = extend(state, n - prev)
                 prev = n
             rows.append((replica, n, summarize(binarize(state.graph), n)))
-            skip_bound = max(skip_bound, state.graph.skipped_edge_bound)
     else:
         for n in cfg.n_grid():
             graph = generate(measure, n, derive_key(replica_seed, 2, n))
             rows.append((replica, n, summarize(binarize(graph), n)))
-            skip_bound = max(skip_bound, graph.skipped_edge_bound)
-    return rows, skip_bound
+    return rows
 
 
 def _gather_replicas(cfg: ExperimentConfig):
     """Run all replicas, containing per-replica failures until the end."""
     workers = worker_count(cfg.replicas)
-    results: dict[int, tuple] = {}
+    results: dict[int, list] = {}
     failures: list[tuple[int, BaseException]] = []
     if workers <= 1:
         for replica in range(cfg.replicas):
@@ -202,8 +204,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
         raise OSError(f"output directory {out} is not writable")
 
     results = _gather_replicas(cfg)
-    rows = [row for replica in range(cfg.replicas) for row in results[replica][0]]
-    max_skip_bound = max(results[replica][1] for replica in range(cfg.replicas))
+    rows = [row for replica in range(cfg.replicas) for row in results[replica]]
 
     report = classify(rows, lower_q=cfg.fit_lower_q, upper_q=cfg.fit_upper_q)
     replica_type_i = {replica: report.fits[f"I_replica{replica}"]
@@ -215,7 +216,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     write_fits_csv(report.fits, out / "fits.csv")
     write_fits_json(report.fits, out / "fits.json")
 
-    return SweepResult(cfg, rows, report, replica_type_i, max_skip_bound,
+    return SweepResult(cfg, rows, report, replica_type_i,
                        elapsed_seconds=time.perf_counter() - started)
 
 

@@ -22,7 +22,8 @@ hash below that level, less a margin far wider than the rounding of log1p
 and exp, is therefore a zero count for certain, found by one integer
 compare.  Only the other pairs run the binomial draw, which gives each the
 count it gets when every pair runs it, so the graph, edge order included,
-does not depend on the filter.
+does not depend on the filter.  No pair is left out, however light: each
+costs at least its hash.
 """
 
 from __future__ import annotations
@@ -50,10 +51,6 @@ __all__ = [
     "write_binarygraph_csv",
     "read_binarygraph_csv",
 ]
-
-# Pairs whose expected count n * w_i * w_j falls below this are not drawn at
-# all; the union bound on edges lost this way is tracked per graph.
-DEFAULT_PAIR_SKIP = 1e-12
 
 # generate_exact_rounds exists to cross-check distributions, not to scale.
 _EXACT_MAX_ATOMS = 200
@@ -87,17 +84,12 @@ class MultiGraph:
     """Accumulated edge counts over ``n_rounds`` Bernoulli rounds.
 
     ``edge_counts`` maps each connected unordered pair (i, j), i < j, to its
-    positive count; absent pairs have count zero.  ``skipped_pairs`` and
-    ``skipped_edge_bound`` report the pruning done while sampling: the bound
-    is the sum of n * w_i * w_j over all pair draws that were skipped, an
-    upper bound on the expected number of missed edges.
+    positive count; absent pairs have count zero.
     """
 
     n_rounds: int
     atom_count: int
     edge_counts: dict[tuple[int, int], int]
-    skipped_pairs: int = 0
-    skipped_edge_bound: float = 0.0
 
     def __post_init__(self):
         if self.n_rounds < 0:
@@ -108,6 +100,18 @@ class MultiGraph:
     def total_edges(self) -> int:
         """Number of distinct connected pairs."""
         return len(self.edge_counts)
+
+    @property
+    def skipped_pairs(self) -> int:
+        """Always 0: every pair is drawn.  Kept only while the benchmark
+        reads it; it goes once the benchmark stops."""
+        return 0
+
+    @property
+    def skipped_edge_bound(self) -> float:
+        """Always 0.0: no pair is skipped, so no edge is missed.  Kept only
+        while the benchmark reads it; it goes once the benchmark stops."""
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -135,14 +139,16 @@ def _pair_array(pairs) -> np.ndarray:
     return _int64_array(chain.from_iterable(pairs), 2 * len(pairs)).reshape(-1, 2)
 
 
-def _check_draw_args(n_rounds: int, seed: int, pair_skip: float = 0.0) -> int:
-    """``n_rounds`` as an int, once it, the seed and pair_skip are checked."""
-    if int(n_rounds) != n_rounds or n_rounds < 0:
-        raise ParameterError(f"n_rounds must be a nonnegative integer, got {n_rounds}")
+def _check_draw_args(n_rounds: int, seed: int) -> int:
+    """``n_rounds`` as an int, once it and the seed are checked.
+
+    Round counts must fit in int64, the type of every count and of the
+    Philox fallback's binomial draw; the range test also rejects nan and inf.
+    """
+    if not 0 <= n_rounds < 2**63 or int(n_rounds) != n_rounds:
+        raise ParameterError(f"n_rounds must be an integer in [0, 2**63), got {n_rounds}")
     if not 0 <= seed < 2**64:  # derive_key would alias it to another seed
         raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
-    if not 0.0 <= pair_skip < np.inf:
-        raise ParameterError(f"pair_skip must be finite and >= 0, got {pair_skip}")
     return int(n_rounds)
 
 
@@ -194,40 +200,10 @@ class GrowthState:
     seed: int
     graph: MultiGraph
     epoch: int = 0
-    pair_skip: float = DEFAULT_PAIR_SKIP
 
     @property
     def n_rounds(self) -> int:
         return self.graph.n_rounds
-
-
-def _select_pairs(weights: np.ndarray, n_rounds: int, pair_skip: float):
-    """Which pairs are worth drawing, in descending-weight order.
-
-    Returns the descending-weight ``order`` of the atoms, their sorted
-    weights ``ws``, the row lengths ``lens`` (row a pairs position a with
-    positions a+1 .. a+lens[a]), and the (skipped pair count, skipped
-    expected-edge mass) accounting.  Every array is per atom; the pairs
-    themselves are enumerated block by block by the caller.
-    """
-    k = weights.size
-    order = np.argsort(-weights, kind="stable")
-    ws = weights[order]
-    total_pairs = k * (k - 1) // 2
-
-    # first sorted position whose weight drops under pair_skip/(n * w_a), or k
-    # at pair_skip 0; everything beyond it pairs with a below the threshold
-    thresholds = pair_skip / (n_rounds * ws)
-    cut = np.searchsorted(-ws, -thresholds, side="right")
-
-    lens = np.clip(cut - np.arange(k) - 1, 0, None)
-    skipped_bound = 0.0
-    skipped = total_pairs - int(lens.sum())
-    if skipped:
-        suffix = np.concatenate([np.cumsum(ws[::-1])[::-1], [0.0]])
-        first_skipped = np.maximum(cut, np.arange(k) + 1)
-        skipped_bound = float(n_rounds * (ws * suffix[first_skipped]).sum())
-    return order, ws, lens, skipped, skipped_bound
 
 
 def _row_blocks(lens: np.ndarray, block: int | None = None):
@@ -320,23 +296,21 @@ def _survivor_batches(order: np.ndarray, lens: np.ndarray, atom_keys: np.ndarray
                       zero_below: np.ndarray):
     """The pairs whose count may be nonzero, as original indices (i, j),
     i < j, in row order, in batches of at most ``_PAIR_BLOCK`` pairs (more
-    only when one hash block alone keeps more).
+    only when one hash block alone keeps more).  Row a pairs position a of
+    the descending ``order`` with every later position, ``lens[a]`` of them.
 
     A pair is kept when its hash is at or above its row's ``zero_below``
     threshold.  Rows are hashed ``_HASH_BLOCK`` pairs at a time (a longer row
     goes alone) in work buffers shared by every block.
     """
-    row_len = lens.tolist()
     ends = np.concatenate([[0], np.cumsum(lens)])
-    size = min(int(ends[-1]), max(_HASH_BLOCK, max(row_len)))
+    size = min(int(ends[-1]), max(_HASH_BLOCK, int(lens[0])))
     hashes = np.empty(size, dtype=np.uint64)
     lo_buf, hi_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
     parts, held = [], 0
     for s, e in _row_blocks(lens, _HASH_BLOCK):
         n = int(ends[e] - ends[s])
-        # row a pairs atom order[a] with the atoms order[a+1 : a+1+lens[a]]
-        hi = np.concatenate([order[a + 1:a + 1 + row_len[a]] for a in range(s, e)],
-                            out=hi_buf[:n])
+        hi = np.concatenate([order[a + 1:] for a in range(s, e)], out=hi_buf[:n])
         lo = np.repeat(order[s:e], lens[s:e])
         i = np.minimum(lo, hi, out=lo_buf[:n])
         j = np.maximum(lo, hi, out=hi)
@@ -361,10 +335,10 @@ def _drain(parts: list):
 
 
 def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
-                    epoch: int, pair_skip: float):
-    """One epoch of pair draws: {pair: positive count}, skip accounting.
+                    epoch: int) -> dict:
+    """One epoch of pair draws: {pair: positive count}.
 
-    Each kept pair is hashed and compared with its row's
+    Each pair is hashed and compared with its row's
     :func:`_zero_thresholds` entry.  A hash below it puts the pair's keyed
     uniform below the zero-count level of the row's heaviest pair, which is
     at most the pair's own level, so the pair's count is zero for certain.
@@ -373,11 +347,14 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     are those of drawing every pair.
     """
     weights = measure.weights
-    if delta_rounds == 0 or weights.size < 2:
-        return {}, 0, 0.0
-    order, ws, lens, skipped, bound = _select_pairs(weights, delta_rounds, pair_skip)
+    k = weights.size
+    if delta_rounds == 0 or k < 2:
+        return {}
+    order = np.argsort(-weights, kind="stable")
+    ws = weights[order]
+    lens = k - 1 - np.arange(k)
     base_key = derive_key(seed, epoch)
-    atom_keys = row_keys(base_key, weights.size)
+    atom_keys = row_keys(base_key, k)
     edges = {}
     for i, j in _survivor_batches(order, lens, atom_keys,
                                   _zero_thresholds(ws, delta_rounds)):
@@ -387,11 +364,10 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
         nz = np.flatnonzero(counts)
         edges.update(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
         del i, j, counts, nz  # freed before the next batch is joined
-    return edges, skipped, bound
+    return edges
 
 
-def generate(measure: AtomicMeasure, n_rounds: int, seed: int, *,
-             pair_skip: float = DEFAULT_PAIR_SKIP) -> MultiGraph:
+def generate(measure: AtomicMeasure, n_rounds: int, seed: int) -> MultiGraph:
     """Sample the multigraph after ``n_rounds`` rounds of edge draws.
 
     Parameters
@@ -399,25 +375,20 @@ def generate(measure: AtomicMeasure, n_rounds: int, seed: int, *,
     measure : AtomicMeasure
         Atom weights; graph vertices are the atom indices.
     n_rounds : int
-        Number of Bernoulli rounds collapsed into one binomial per pair.
+        Number of Bernoulli rounds collapsed into one binomial per pair,
+        in [0, 2**63).
     seed : int
         Stream seed in [0, 2**64); (measure, n_rounds, seed) fixes the graph.
-    pair_skip : float
-        Pairs with ``n_rounds * w_i * w_j`` below this are never drawn; the
-        resulting expected-missed-edge bound is recorded on the graph.  Zero
-        draws every pair; a negative or non-finite value is rejected.
     """
-    n_rounds = _check_draw_args(n_rounds, seed, pair_skip)
-    edges, skipped, bound = _draw_increment(measure, n_rounds, seed, 0, pair_skip)
-    return MultiGraph(n_rounds, len(measure), edges,
-                      skipped_pairs=skipped, skipped_edge_bound=bound)
+    n_rounds = _check_draw_args(n_rounds, seed)
+    return MultiGraph(n_rounds, len(measure), _draw_increment(measure, n_rounds, seed, 0))
 
 
 def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> MultiGraph:
     """Literal round-by-round Bernoulli reference sampler.
 
-    Same distribution as :func:`generate` with no pair skipping, in
-    O(n_rounds * atoms^2) time.  Refuses inputs beyond the small scales it
+    Same distribution as :func:`generate`, drawing each pair once per round,
+    in O(n_rounds * atoms^2) time.  Refuses inputs beyond the small scales it
     exists for; it is the honesty oracle for the binomial collapse, not a
     production path.
     """
@@ -439,12 +410,10 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
     return MultiGraph(n_rounds, k, edges)
 
 
-def start_growth(measure: AtomicMeasure, seed: int, *,
-                 pair_skip: float = DEFAULT_PAIR_SKIP) -> GrowthState:
+def start_growth(measure: AtomicMeasure, seed: int) -> GrowthState:
     """A fresh trajectory at zero rounds for the given measure and seed."""
-    _check_draw_args(0, seed, pair_skip)
-    empty = MultiGraph(0, len(measure), {})
-    return GrowthState(measure, seed, empty, epoch=0, pair_skip=pair_skip)
+    _check_draw_args(0, seed)
+    return GrowthState(measure, seed, MultiGraph(0, len(measure), {}))
 
 
 def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
@@ -453,20 +422,20 @@ def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
     The increment is one Binomial(delta_rounds, w_i w_j) draw per pair from
     the next epoch's streams, added onto the existing counts, so the result
     has the same marginal law as a one-shot generate at the combined round
-    count and every pair count is nondecreasing along the trajectory.
+    count and every pair count is nondecreasing along the trajectory.  The
+    combined round count must stay below 2**63.
     """
-    if int(delta_rounds) != delta_rounds or delta_rounds < 1:
+    if not 1 <= delta_rounds < 2**63 or int(delta_rounds) != delta_rounds:
         raise ParameterError(f"delta_rounds must be a positive integer, got {delta_rounds}")
+    delta_rounds = int(delta_rounds)
+    n_rounds = state.graph.n_rounds + delta_rounds
+    if n_rounds >= 2**63:
+        raise ParameterError(f"n_rounds must stay below 2**63, got {n_rounds}")
     epoch = state.epoch + 1
-    new_edges, skipped, bound = _draw_increment(
-        state.measure, int(delta_rounds), state.seed, epoch, state.pair_skip)
     merged = dict(state.graph.edge_counts)
-    for pair, count in new_edges.items():
+    for pair, count in _draw_increment(state.measure, delta_rounds, state.seed, epoch).items():
         merged[pair] = merged.get(pair, 0) + count
-    graph = MultiGraph(
-        state.graph.n_rounds + int(delta_rounds), state.graph.atom_count, merged,
-        skipped_pairs=state.graph.skipped_pairs + skipped,
-        skipped_edge_bound=state.graph.skipped_edge_bound + bound)
+    graph = MultiGraph(n_rounds, state.graph.atom_count, merged)
     return replace(state, graph=graph, epoch=epoch)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "AtomicMeasure",
     "sample_three_param_bp",
     "rate_density",
-    "sorted_view",
     "write_measure_csv",
     "read_measure_csv",
 ]
@@ -238,13 +237,6 @@ def rate_density(params: BetaProcessParams, w: float) -> float:
     log_norm = math.lgamma(1.0 + c) - math.lgamma(1.0 - d) - math.lgamma(c + d)
     log_dens = log_norm + (-1.0 - d) * math.log(w) + (c + d - 1.0) * math.log1p(-w)
     return params.mass * math.exp(log_dens)
-
-
-def sorted_view(measure: AtomicMeasure) -> AtomicMeasure:
-    """The same atoms reordered by nonincreasing weight (stable on ties)."""
-    order = np.argsort(-measure.weights, kind="stable")
-    return AtomicMeasure(measure.weights[order], measure.labels[order],
-                         params=measure.params, config=measure.config)
 
 
 def write_measure_csv(measure: AtomicMeasure, path: str | Path) -> None:

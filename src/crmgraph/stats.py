@@ -29,7 +29,6 @@ from .graphs import BinaryGraph, _pair_array, _row_blocks, _row_pairs
 
 __all__ = [
     "GraphStats",
-    "VertexProfile",
     "StatsConsistencyError",
     "degrees",
     "triangles",
@@ -47,21 +46,6 @@ _WEDGE_BLOCK = 1 << 14
 
 class StatsConsistencyError(RuntimeError):
     """Internal cross-check failed; indicates an implementation bug."""
-
-
-@dataclass(frozen=True)
-class VertexProfile:
-    """Degree and triangle count of one effective vertex."""
-
-    vertex: int
-    degree: int
-    triangles: int
-
-    def __post_init__(self):
-        if self.triangles > self.degree * (self.degree - 1) // 2:
-            raise StatsConsistencyError(
-                f"vertex {self.vertex}: {self.triangles} triangles exceeds "
-                f"C({self.degree}, 2)")
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,7 @@ def _mass_chunk(seeds):
     return cfg
 
 
+@pytest.mark.slow
 def test_criterion_4_stick_breaking_mass_oracle(acceptance_log):
     # analytic identity first: the first moment of the rate measure is the
     # mass parameter, confirmed by quadrature independent of the sampler

@@ -80,13 +80,12 @@ class TestGraphCommand:
                                "--n", "20", "--seed", "2", "--exact-rounds")
         assert code == 0
 
-    @pytest.mark.parametrize("skip_args", [("--pair-skip", "-1"), ("--pair-skip", "0"),
-                                           ("--pair-skip=1e-12",)])
-    def test_exact_rounds_takes_no_pair_skip(self, capsys, measure_csv, skip_args):
+    def test_pair_skip_is_not_an_option(self, capsys, measure_csv):
+        # every pair is drawn; the old pruning threshold is no longer accepted
         code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
-                                 "--n", "20", "--exact-rounds", *skip_args)
+                                 "--n", "20", "--pair-skip", "0")
         assert code == 1 and out == ""
-        assert "usage" in err.lower() and "not allowed with" in err
+        assert "usage" in err.lower() and "unrecognized arguments: --pair-skip" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_seed_outside_64_bits_exit_2(self, capsys, measure_csv, seed):
@@ -94,11 +93,10 @@ class TestGraphCommand:
                                  "--n", "100", "--seed", seed)
         assert code == 2 and seed in err and out == ""
 
-    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-    def test_bad_pair_skip_exit_2(self, capsys, measure_csv, value):
-        code, _, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
-                               "--n", "100", "--pair-skip", value)
-        assert code == 2 and "pair_skip" in err
+    def test_rounds_outside_int64_exit_2(self, capsys, measure_csv):
+        code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
+                                 "--n", str(2**63))
+        assert code == 2 and "n_rounds" in err and out == ""
 
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),

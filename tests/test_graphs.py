@@ -7,9 +7,8 @@ import pytest
 from scipy import stats as st
 
 from crmgraph import graphs
-from crmgraph.graphs import (BinaryGraph, MultiGraph, _select_pairs, binarize,
-                             extend, generate, generate_exact_rounds,
-                             read_binarygraph_csv, read_multigraph_csv,
+from crmgraph.graphs import (BinaryGraph, MultiGraph, binarize, extend, generate,
+                             generate_exact_rounds, read_binarygraph_csv, read_multigraph_csv,
                              start_growth, write_binarygraph_csv,
                              write_multigraph_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
@@ -27,14 +26,6 @@ THREE = measure(0.6, 0.4, 0.3)
 def sampled_measure(seed=42, rounds=400):
     params = BetaProcessParams(concentration=1.0, discount=0.1, mass=3.0)
     return sample_three_param_bp(params, StickBreakingConfig(rounds=rounds, seed=seed))
-
-
-def selected_pairs(weights, n_rounds, pair_skip):
-    """Every pair _select_pairs keeps, in row order: (i, j, probs, skipped, bound)."""
-    order, ws, lens, skipped, bound = _select_pairs(weights, n_rounds, pair_skip)
-    a, b = graphs._row_pairs(lens, 0, lens.size)
-    oi, oj = order[a], order[b]
-    return np.minimum(oi, oj), np.maximum(oi, oj), ws[a] * ws[b], skipped, bound
 
 
 def keyed_hashes(base_key, i, j):
@@ -151,74 +142,54 @@ class TestGenerate:
             draw(seed)
         draw(2**64 - 1)
 
-    @pytest.mark.parametrize("pair_skip", [-1.0, math.nan, math.inf])
-    def test_bad_pair_skip_rejected(self, pair_skip):
-        with pytest.raises(ParameterError, match="pair_skip"):
-            generate(THREE, 10, 0, pair_skip=pair_skip)
-        with pytest.raises(ParameterError, match="pair_skip"):
-            start_growth(THREE, 0, pair_skip=pair_skip)
+    def test_rounds_outside_int64_rejected(self):
+        # counts are int64, and the Philox fallback cannot take 2**63 rounds
+        for n in (2**63, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="n_rounds"):
+                generate(THREE, n, 0)
+        assert generate(THREE, 2**63 - 1, 0).n_rounds == 2**63 - 1
+        state = extend(start_growth(THREE, 0), 2**62)
+        with pytest.raises(ParameterError, match="n_rounds"):
+            extend(state, 2**62)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="delta_rounds"):
+                extend(state, delta)
+        assert extend(state, 2**62 - 1).n_rounds == 2**63 - 1
+
+    def test_every_pair_is_hashed(self, monkeypatch):
+        # most pairs expect far fewer than 1e-12 edges, and none is left out
+        hashed = []
+
+        def counting(row_key, j, out=None):
+            hashed.append(j.size)
+            return pair_hashes(row_key, j, out=out)
+
+        monkeypatch.setattr(graphs, "pair_hashes", counting)
+        w = np.concatenate([[0.6, 0.3], np.geomspace(1e-7, 1e-9, 48)])
+        m = AtomicMeasure(w, np.arange(w.size) / 64)
+        n, pairs = 50, w.size * (w.size - 1) // 2
+        a, b = np.triu_indices(w.size, 1)
+        assert np.mean(n * w[a] * w[b] < 1e-12) > 0.9
+        g = generate(m, n, seed=3)
+        assert sum(hashed) == pairs and g.total_edges() > 0
+        state = start_growth(m, 3)
+        for delta in (n, 1, 1000):
+            hashed.clear()
+            state = extend(state, delta)
+            assert sum(hashed) == pairs
 
 
-class TestPairSkipping:
-    def test_bound_matches_brute_force(self):
-        w = np.array([0.5, 0.2, 0.05, 0.01, 0.002])
-        n, skip = 10, 1e-3
-        lo, hi, probs, skipped, bound = selected_pairs(w, n, skip)
-        kept = set(zip(lo.tolist(), hi.tolist()))
-        brute = 0.0
-        count = 0
-        for i in range(len(w)):
-            for j in range(i + 1, len(w)):
-                if (i, j) not in kept:
-                    brute += n * w[i] * w[j]
-                    count += 1
-        for i, j in kept:
-            assert n * w[i] * w[j] >= skip
-        assert skipped == count
-        assert bound == pytest.approx(brute, rel=1e-12)
-
-    def test_zero_pair_skip_disables_skipping(self):
-        w = np.array([0.5, 1e-8, 1e-9])
-        lo, hi, probs, skipped, bound = selected_pairs(w, 10, 0.0)
-        assert len(lo) == 3 and skipped == 0 and bound == 0.0
-
-    def test_default_bound_is_tiny_on_sampled_measure(self):
-        g = generate(sampled_measure(), 2000, seed=1)
-        assert g.skipped_edge_bound < 1e-3
-
-    def test_skipping_only_drops_negligible_pairs(self):
-        m = sampled_measure(seed=7)
-        n = 100
-        pruned = generate(m, n, seed=2)
-        full = generate(m, n, seed=2, pair_skip=0.0)
-        assert pruned.skipped_pairs > 0
-        # drawn pairs agree exactly; pairs present only in the full run must
-        # be ones the pruned run skipped as negligible
-        for pair, count in pruned.edge_counts.items():
-            assert full.edge_counts[pair] == count
-        extra = set(full.edge_counts) - set(pruned.edge_counts)
-        w = m.weights
-        for i, j in extra:
-            assert n * w[i] * w[j] < pruned.skipped_edge_bound + 1e-12
-
-
-def trajectory_record(m, **kwargs):
-    """Edge items and skip accounting of a generate and a 5-step extend."""
-    one_shot = generate(m, 300, seed=4, **kwargs)
-    state = start_growth(m, 4, **kwargs)
+def trajectory_record(m):
+    """Edge items of a generate and a 5-step extend."""
+    one_shot = generate(m, 300, seed=4)
+    state = start_growth(m, 4)
     for delta in (1, 7, 50, 200, 1000):
         state = extend(state, delta)
-    return [(list(g.edge_counts.items()), g.skipped_pairs, g.skipped_edge_bound)
-            for g in (one_shot, state.graph)]
+    return [list(g.edge_counts.items()) for g in (one_shot, state.graph)]
 
 
 class TestPairBlocks:
-    CASES = [
-        ("sampled", {}),
-        ("sampled", {"pair_skip": 1e-3}),
-        ("sampled", {"pair_skip": 0.0}),
-        ("fallback", {}),
-    ]
+    CASES = ["sampled", "fallback"]
 
     @staticmethod
     def case_measure(name):
@@ -228,12 +199,12 @@ class TestPairBlocks:
         return sampled_measure(seed=3, rounds=300)
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
-    @pytest.mark.parametrize("name,kwargs", CASES)
-    def test_block_size_does_not_change_graphs(self, monkeypatch, block, name, kwargs):
+    @pytest.mark.parametrize("name", CASES)
+    def test_block_size_does_not_change_graphs(self, monkeypatch, block, name):
         m = self.case_measure(name)
-        expected = trajectory_record(m, **kwargs)
+        expected = trajectory_record(m)
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
-        assert trajectory_record(m, **kwargs) == expected
+        assert trajectory_record(m) == expected
 
     def test_blocks_cover_rows_in_order(self, monkeypatch):
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", 10)
@@ -275,16 +246,14 @@ class TestPairBlocks:
         assert peak < 64 * 2 ** 20
 
 
-def reference_draw(weights, n_rounds, seed, epoch, pair_skip):
-    """One epoch with no hash filter: every kept pair, in row order of the
+def reference_draw(weights, n_rounds, seed, epoch):
+    """One epoch with no hash filter: every pair, in row order of the
     descending-weight order, drawn by _binomial_counts in one call.  Returns
     the items of the nonzero counts."""
     k = weights.size
     order = np.argsort(-weights, kind="stable")
     ws = weights[order]
     a, b = np.triu_indices(k, 1)
-    kept = ws[b] >= pair_skip / (n_rounds * ws[a])
-    a, b = a[kept], b[kept]
     i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
     probs = ws[a] * ws[b]
     base = derive_key(seed, epoch)
@@ -337,8 +306,7 @@ class TestHashFirst:
 
     @pytest.mark.parametrize("pair_block,hash_block", [
         (1, 1), (7, 3), (graphs._PAIR_BLOCK, 7), (graphs._PAIR_BLOCK, graphs._HASH_BLOCK)])
-    @pytest.mark.parametrize("pair_skip", [0.0, graphs.DEFAULT_PAIR_SKIP, 1e-3])
-    def test_draws_equal_every_pair_reference(self, pair_skip, pair_block, hash_block):
+    def test_draws_equal_every_pair_reference(self, pair_block, hash_block):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         weight = st.floats(math.log(1e-9), math.log(0.99)).map(math.exp)
@@ -353,15 +321,15 @@ class TestHashFirst:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(graphs, "_PAIR_BLOCK", pair_block)
                 patch.setattr(graphs, "_HASH_BLOCK", hash_block)
-                g = generate(m, n, seed, pair_skip=pair_skip)
-                state = start_growth(m, seed, pair_skip=pair_skip)
+                g = generate(m, n, seed)
+                state = start_growth(m, seed)
                 for delta in deltas:
                     state = extend(state, delta)
             assert list(g.edge_counts.items()) == reference_draw(
-                m.weights, n, seed, 0, pair_skip)
+                m.weights, n, seed, 0)
             grown = {}
             for epoch, delta in enumerate(deltas, start=1):
-                for pair, count in reference_draw(m.weights, delta, seed, epoch, pair_skip):
+                for pair, count in reference_draw(m.weights, delta, seed, epoch):
                     grown[pair] = grown.get(pair, 0) + count
             assert list(state.graph.edge_counts.items()) == list(grown.items())
 

@@ -6,7 +6,7 @@ from scipy import integrate, stats as st
 
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, _round_atoms, rate_density,
-                               read_measure_csv, sample_three_param_bp, sorted_view,
+                               read_measure_csv, sample_three_param_bp,
                                write_measure_csv)
 
 STD_PARAMS = BetaProcessParams(concentration=1.0, discount=0.1, mass=3.0)
@@ -180,26 +180,6 @@ class TestAtomicMeasure:
         m = AtomicMeasure(np.array([0.2, 0.3]), np.array([0.6, 0.7]))
         with pytest.raises(ValueError):
             m.weights[0] = 0.9
-
-
-class TestSortedView:
-    def test_sorts_descending(self):
-        m = AtomicMeasure(np.array([0.2, 0.7, 0.5]), np.array([0.1, 0.2, 0.3]))
-        s = sorted_view(m)
-        assert s.weights.tolist() == [0.7, 0.5, 0.2]
-        assert s.labels.tolist() == [0.2, 0.3, 0.1]  # labels travel with weights
-
-    def test_empty(self):
-        m = AtomicMeasure(np.empty(0), np.empty(0))
-        assert len(sorted_view(m)) == 0
-
-    def test_permutation_preserves_mass_exactly(self):
-        m = sample_three_param_bp(STD_PARAMS, cfg(100, seed=9))
-        s = sorted_view(m)
-        assert s.weights.sum() == m.weights.sum()
-        assert sorted(map(tuple, zip(m.weights, m.labels))) \
-            == sorted(map(tuple, zip(s.weights, s.labels)))
-        assert s.params == m.params and s.config == m.config
 
 
 class TestMeasureCsv:

@@ -8,9 +8,8 @@ from crmgraph import stats
 from crmgraph.graphs import BinaryGraph, binarize, generate
 from crmgraph.measures import BetaProcessParams, StickBreakingConfig, \
     sample_three_param_bp
-from crmgraph.stats import (StatsConsistencyError, VertexProfile,
-                            degrees, summarize, triangles,
-                            write_stats_long_csv, write_stats_wide_csv)
+from crmgraph.stats import (degrees, summarize, triangles, write_stats_long_csv,
+                            write_stats_wide_csv)
 
 
 def graph(*edges, atoms=None):
@@ -74,7 +73,7 @@ class TestTriangles:
             z = random_small_graph(rng)
             deg = degrees(z)
             for v, t in triangles(z).items():
-                VertexProfile(v, deg[v], t)  # raises if t > C(deg, 2)
+                assert t <= deg[v] * (deg[v] - 1) // 2
 
     def test_matches_brute_force_on_random_graphs(self):
         rng = random.Random(1234)
@@ -234,13 +233,6 @@ class TestSummarize:
             assert (a.effective_vertices, a.total_edges) == (b.effective_vertices, b.total_edges)
             assert a.degree_hist == b.degree_hist
             assert a.triangle_hist == b.triangle_hist
-
-
-class TestVertexProfile:
-    def test_triangle_bound_enforced(self):
-        with pytest.raises(StatsConsistencyError):
-            VertexProfile(vertex=0, degree=2, triangles=2)
-        VertexProfile(vertex=0, degree=2, triangles=1)
 
 
 class TestStatsCsv:
