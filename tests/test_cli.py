@@ -80,10 +80,12 @@ class TestGraphCommand:
                                "--n", "20", "--seed", "2", "--exact-rounds")
         assert code == 0
 
-    def test_pair_skip_is_not_an_option(self, capsys, measure_csv):
-        # every pair is drawn; the old pruning threshold is no longer accepted
+    @pytest.mark.parametrize("skip_args", [("--pair-skip", "-1"), ("--pair-skip", "0"),
+                                           ("--pair-skip=1e-12",)])
+    def test_exact_rounds_takes_no_pair_skip(self, capsys, measure_csv, skip_args):
+        # every pair is drawn; the old pruning threshold is no longer an option
         code, out, err = run_cli(capsys, "graph", "--weights", str(measure_csv),
-                                 "--n", "20", "--pair-skip", "0")
+                                 "--n", "20", "--exact-rounds", *skip_args)
         assert code == 1 and out == ""
         assert "usage" in err.lower() and "unrecognized arguments: --pair-skip" in err
 

@@ -179,17 +179,22 @@ class TestGenerate:
             assert sum(hashed) == pairs
 
 
-def trajectory_record(m):
-    """Edge items of a generate and a 5-step extend."""
-    one_shot = generate(m, 300, seed=4)
-    state = start_growth(m, 4)
-    for delta in (1, 7, 50, 200, 1000):
+def trajectory_record(m, seed=4, n=300, deltas=(1, 7, 50, 200, 1000)):
+    """Edge items of a generate and an extend along ``deltas``."""
+    one_shot = generate(m, n, seed)
+    state = start_growth(m, seed)
+    for delta in deltas:
         state = extend(state, delta)
     return [list(g.edge_counts.items()) for g in (one_shot, state.graph)]
 
 
 class TestPairBlocks:
-    CASES = ["sampled", "fallback"]
+    CASES = [
+        ("sampled", {}),
+        ("sampled", {"n": 10**7, "deltas": (10**6, 3)}),
+        ("sampled", {"seed": 2**64 - 1}),
+        ("fallback", {}),
+    ]
 
     @staticmethod
     def case_measure(name):
@@ -199,12 +204,12 @@ class TestPairBlocks:
         return sampled_measure(seed=3, rounds=300)
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
-    @pytest.mark.parametrize("name", CASES)
-    def test_block_size_does_not_change_graphs(self, monkeypatch, block, name):
+    @pytest.mark.parametrize("name,kwargs", CASES)
+    def test_block_size_does_not_change_graphs(self, monkeypatch, block, name, kwargs):
         m = self.case_measure(name)
-        expected = trajectory_record(m)
+        expected = trajectory_record(m, **kwargs)
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
-        assert trajectory_record(m) == expected
+        assert trajectory_record(m, **kwargs) == expected
 
     def test_blocks_cover_rows_in_order(self, monkeypatch):
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", 10)
