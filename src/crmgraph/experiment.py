@@ -21,7 +21,7 @@ from pathlib import Path
 from .fileio import open_text_sink, write_csv
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
-                       sample_three_param_bp)
+                       check_integer, sample_three_param_bp)
 from .powerlaw import LogLogFit, PowerLawReport, classify, write_fits_csv, write_fits_json
 from .rng import derive_key
 from .stats import GraphStats, _hist_rows, summarize
@@ -55,36 +55,32 @@ class ExperimentConfig:
     gamma: float = 3.0
     theta: float = 1.0
     alpha: float = 0.1
-    rounds: int = 1000
+    rounds: int = 1000  # stick-breaking rounds per measure, in [1, 2**63)
     weight_floor: float = 1e-10
-    n_start: int = 50
-    n_stop: int = 2000
-    n_step: int = 50
-    replicas: int = 10
+    n_start: int = 50  # grid of round counts N, from n_start in [0, 2**63)
+    n_stop: int = 2000  # ... to n_stop in [n_start, 2**63), inclusive
+    n_step: int = 50  # ... in steps of n_step in [1, 2**63)
+    replicas: int = 10  # measures drawn, in [1, 2**63)
     growth_mode: str = "coupled"
-    seed: int = 0
+    seed: int = 0  # master seed, in [0, 2**64)
     out_dir: str = "sweep-out"
     fit_lower_q: float = 0.5
     fit_upper_q: float = 1.0
 
     def __post_init__(self):
-        # parameter domains proper are enforced by BetaProcessParams and
-        # StickBreakingConfig; here only the sweep-level shape is checked
-        if self.n_start < 0 or self.n_stop < self.n_start or self.n_step < 1:
-            raise ParameterError(
-                f"bad grid: start {self.n_start}, stop {self.n_stop}, step {self.n_step}")
-        if self.replicas < 1:
-            raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
+        # the process and stick parameters are checked by params() and sticks()
+        # below; a bad n_start fails here before it can bound n_stop
+        for name, lo, hi in (("n_start", 0, 2**63), ("n_stop", self.n_start, 2**63),
+                             ("n_step", 1, 2**63), ("replicas", 1, 2**63), ("seed", 0, 2**64)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), lo, hi))
         if self.growth_mode not in GROWTH_MODES:
             raise ParameterError(f"growth_mode must be one of {GROWTH_MODES}")
-        if not 0 <= self.seed < 2**64:
-            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         if not 0 <= self.fit_lower_q < self.fit_upper_q <= 1:
             raise ParameterError(
                 f"need 0 <= fit_lower_q < fit_upper_q <= 1, got fit_lower_q "
                 f"{self.fit_lower_q}, fit_upper_q {self.fit_upper_q}")
         self.params()  # validates gamma/theta/alpha
-        self.sticks(0)  # validates rounds/weight_floor
+        object.__setattr__(self, "rounds", self.sticks(0).rounds)  # checks rounds/weight_floor
 
     def params(self) -> BetaProcessParams:
         return BetaProcessParams(concentration=self.theta, discount=self.alpha,

@@ -34,7 +34,7 @@ from itertools import chain, islice
 import numpy as np
 
 from .fileio import read_csv, write_csv
-from .measures import AtomicMeasure, ParameterError
+from .measures import AtomicMeasure, ParameterError, check_integer
 from .rng import derive_key, pair_hashes, pair_uniforms, philox, row_keys
 
 __all__ = [
@@ -92,8 +92,7 @@ class MultiGraph:
     edge_counts: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.n_rounds < 0:
-            raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
+        object.__setattr__(self, "n_rounds", check_integer("n_rounds", self.n_rounds, 0, 2**63))
         _check_edges(self.edge_counts, self.atom_count, self.edge_counts.values(),
                      self.n_rounds)
 
@@ -139,17 +138,11 @@ def _pair_array(pairs) -> np.ndarray:
     return _int64_array(chain.from_iterable(pairs), 2 * len(pairs)).reshape(-1, 2)
 
 
-def _check_draw_args(n_rounds: int, seed: int) -> int:
-    """``n_rounds`` as an int, once it and the seed are checked.
-
-    Round counts must fit in int64, the type of every count and of the
-    Philox fallback's binomial draw; the range test also rejects nan and inf.
-    """
-    if not 0 <= n_rounds < 2**63 or int(n_rounds) != n_rounds:
-        raise ParameterError(f"n_rounds must be an integer in [0, 2**63), got {n_rounds}")
-    if not 0 <= seed < 2**64:  # derive_key would alias it to another seed
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
-    return int(n_rounds)
+def _check_draw_args(n_rounds: int, seed: int) -> tuple[int, int]:
+    """``n_rounds`` and ``seed`` as ints, once checked: counts must fit in int64,
+    the type of every count and of the Philox fallback's binomial draw, and
+    seeds in 64 unsigned bits, or derive_key would alias them to other seeds."""
+    return check_integer("n_rounds", n_rounds, 0, 2**63), check_integer("seed", seed, 0, 2**64)
 
 
 def _check_edges(pairs, atom_count: int, counts=None, n_rounds=None) -> None:
@@ -380,7 +373,7 @@ def generate(measure: AtomicMeasure, n_rounds: int, seed: int) -> MultiGraph:
     seed : int
         Stream seed in [0, 2**64); (measure, n_rounds, seed) fixes the graph.
     """
-    n_rounds = _check_draw_args(n_rounds, seed)
+    n_rounds, seed = _check_draw_args(n_rounds, seed)
     return MultiGraph(n_rounds, len(measure), _draw_increment(measure, n_rounds, seed, 0))
 
 
@@ -392,7 +385,7 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
     exists for; it is the honesty oracle for the binomial collapse, not a
     production path.
     """
-    n_rounds = _check_draw_args(n_rounds, seed)
+    n_rounds, seed = _check_draw_args(n_rounds, seed)
     k = len(measure)
     if k > _EXACT_MAX_ATOMS:
         raise ParameterError(f"exact-rounds sampler limited to {_EXACT_MAX_ATOMS} atoms, got {k}")
@@ -412,7 +405,7 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
 
 def start_growth(measure: AtomicMeasure, seed: int) -> GrowthState:
     """A fresh trajectory at zero rounds for the given measure and seed."""
-    _check_draw_args(0, seed)
+    _, seed = _check_draw_args(0, seed)
     return GrowthState(measure, seed, MultiGraph(0, len(measure), {}))
 
 
@@ -425,9 +418,7 @@ def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
     count and every pair count is nondecreasing along the trajectory.  The
     combined round count must stay below 2**63.
     """
-    if not 1 <= delta_rounds < 2**63 or int(delta_rounds) != delta_rounds:
-        raise ParameterError(f"delta_rounds must be a positive integer, got {delta_rounds}")
-    delta_rounds = int(delta_rounds)
+    delta_rounds = check_integer("delta_rounds", delta_rounds, 1, 2**63)
     n_rounds = state.graph.n_rounds + delta_rounds
     if n_rounds >= 2**63:
         raise ParameterError(f"n_rounds must stay below 2**63, got {n_rounds}")

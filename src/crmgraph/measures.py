@@ -12,6 +12,7 @@ to zero recovers the plain beta process.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from .rng import philox
 
 __all__ = [
     "ParameterError",
+    "check_integer",
     "BetaProcessParams",
     "StickBreakingConfig",
     "AtomicMeasure",
@@ -45,6 +47,18 @@ _MEASURE_HEADER = ("atom_id", "weight", "label")
 
 class ParameterError(ValueError):
     """A parameter or argument is outside its supported domain."""
+
+
+def check_integer(name: str, value, lo: int, hi: int) -> int:
+    """``value`` as an int if it is an integer in [lo, hi), else a ParameterError
+    naming ``name`` and the value.  Numpy integers and integral floats such as
+    ``5.0`` are integers; bools, nan, inf and fractions are not."""
+    number = int(value) if isinstance(value, numbers.Integral) else value
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not lo <= number < hi or number != int(number)):
+        hi_text = f"2**{hi.bit_length() - 1}" if hi in (2**63, 2**64) else hi
+        raise ParameterError(f"{name} must be in [{lo}, {hi_text}) and an integer, got {value!r}")
+    return int(number)
 
 
 @dataclass(frozen=True)
@@ -84,11 +98,11 @@ class StickBreakingConfig:
     Attributes
     ----------
     rounds : int
-        Number of outer rounds drawn; at least 1.
+        Number of outer rounds drawn, an integer in [1, 2**63).
     weight_floor : float
         Atoms with weight below this are dropped.  In [0, 1).
     seed : int
-        64-bit unsigned stream seed.
+        Stream seed, an integer in [0, 2**64).
     """
 
     rounds: int
@@ -96,12 +110,10 @@ class StickBreakingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.rounds) != self.rounds or self.rounds < 1:
-            raise ParameterError(f"rounds must be a positive integer, got {self.rounds}")
+        object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1, 2**63))
         if not 0.0 <= self.weight_floor < 1.0:
             raise ParameterError(f"weight_floor must be in [0, 1), got {self.weight_floor}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ParameterError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0, 2**64))
 
 
 @dataclass(frozen=True)
@@ -247,7 +259,11 @@ def write_measure_csv(measure: AtomicMeasure, path: str | Path) -> None:
 
 
 def read_measure_csv(path: str | Path) -> AtomicMeasure:
-    """Read a measure written by :func:`write_measure_csv` (no provenance)."""
+    """Read a measure written by :func:`write_measure_csv` (no provenance),
+    whose atom ids, the graph vertices, run 0..k-1 in row order."""
     rows = read_csv(path, _MEASURE_HEADER)
+    for k, row in enumerate(rows):
+        if row[0] != str(k):
+            raise ParameterError(f"{path}: data row {k + 1} has atom_id {row[0]!r}, expected {k}")
     return AtomicMeasure(np.array([float(r[1]) for r in rows]),
                          np.array([float(r[2]) for r in rows]))

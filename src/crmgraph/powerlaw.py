@@ -97,7 +97,7 @@ def fit_loglog(xs, ys, lower_q: float = DEFAULT_LOWER_Q,
     Parameters
     ----------
     xs, ys : array-like
-        Strictly positive values of equal length.
+        Finite, strictly positive values of equal length.
     lower_q, upper_q : float
         The fit uses only points whose x lies within this quantile range of
         the x values.
@@ -108,7 +108,7 @@ def fit_loglog(xs, ys, lower_q: float = DEFAULT_LOWER_Q,
     Raises
     ------
     FitError
-        On nonpositive values, too few points in range, or constant x.
+        On non-finite or nonpositive values, too few points in range, or constant x.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -118,8 +118,8 @@ def fit_loglog(xs, ys, lower_q: float = DEFAULT_LOWER_Q,
         raise FitError(f"invalid quantile range [{lower_q}, {upper_q}]")
     if min_points < 2:
         raise FitError(f"min_points must be at least 2, got {min_points}")
-    if xs.size == 0 or np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise FitError("all values must be strictly positive")
+    if xs.size == 0 or not ((xs > 0.0) & (xs < np.inf) & (ys > 0.0) & (ys < np.inf)).all():
+        raise FitError("all values must be finite and strictly positive")
 
     q_lo, q_hi = np.quantile(xs, [lower_q, upper_q])
     mask = (xs >= q_lo) & (xs <= q_hi)

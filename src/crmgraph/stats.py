@@ -26,6 +26,7 @@ import numpy as np
 
 from .fileio import write_csv
 from .graphs import BinaryGraph, _pair_array, _row_blocks, _row_pairs
+from .measures import check_integer
 
 __all__ = [
     "GraphStats",
@@ -128,6 +129,7 @@ def summarize(graph: BinaryGraph, n_rounds: int) -> GraphStats:
     The edge total is computed both as the adjacency size and as half the
     degree sum; disagreement is an internal error, not bad input.
     """
+    n_rounds = check_integer("n_rounds", n_rounds, 0, 2**63)
     vertex_ids, degree, tri = _degree_triangle_arrays(graph)
     total_edges = len(graph.adjacency)
     degree_sum = int(degree.sum())

@@ -100,6 +100,12 @@ class TestGraphCommand:
                                  "--n", str(2**63))
         assert code == 2 and "n_rounds" in err and out == ""
 
+    def test_reordered_atom_ids_exit_2(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("atom_id,weight,label\n2,0.5,0.1\n0,0.25,0.2\n7,0.125,0.3\n")
+        code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
+        assert code == 2 and "atom_id '2'" in err and out == ""
+
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),
                              "--n", "5")
@@ -127,6 +133,13 @@ class TestStatsCommand:
         edges = tmp_path / "edges.csv"
         edges.write_text("x,y\n0,1\n")
         assert run_cli(capsys, "stats", str(edges))[0] == 2
+
+    def test_negative_round_count_exit_2(self, capsys, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("i,j\n0,1\n")
+        code, out, err = run_cli(capsys, "stats", str(edges), "--n", "-5")
+        assert code == 2 and "n_rounds" in err and "-5" in err and out == ""
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["i,j,count\n0,1,3\n0,2,1\n0,1,5\n",
                                       "i,j\n0,1\n0,2\n0,1\n"])
@@ -226,6 +239,13 @@ class TestFitCommand:
         fields = row.split(",")
         assert fields[0] == "E~V"
         assert float(fields[1]) == pytest.approx(2.0, abs=1e-9)
+
+    def test_non_finite_value_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("V,E\n1,2\n2,4\n3,6\n4,8\n5,inf\n")
+        code, out, err = run_cli(capsys, "fit", str(table), "--x", "V", "--y", "E",
+                                 "--lower-q", "0")
+        assert code == 2 and "finite" in err and out == ""
 
     def test_missing_column(self, capsys, tmp_path):
         table = tmp_path / "t.csv"

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from crmgraph import experiment
@@ -31,10 +32,20 @@ class TestConfig:
         dict(alpha=1.0), dict(gamma=0.0), dict(rounds=0),
         dict(seed=-1), dict(seed=2**64), dict(fit_lower_q=-0.1),
         dict(fit_lower_q=0.6, fit_upper_q=0.5), dict(fit_upper_q=1.5),
+        dict(seed=1.5), dict(seed=True), dict(replicas=2.5), dict(n_step=2.5),
+        dict(n_start=True),
     ])
     def test_invalid(self, overrides):
         with pytest.raises(ParameterError):
             ExperimentConfig(**overrides)
+
+    def test_integral_values_saved_as_ints(self, tmp_path):
+        # config.json must hold ints, or load_config would reject the file
+        path = tmp_path / "config.json"
+        cfg = ExperimentConfig(rounds=100.0, n_step=np.int64(50), seed=np.uint64(2**64 - 1))
+        save_config(cfg, path)
+        assert load_config(path) == cfg == ExperimentConfig(rounds=100, n_step=50,
+                                                            seed=2**64 - 1)
 
     def test_profiles(self):
         assert DESK_PROFILE.rounds == 1000

@@ -130,31 +130,43 @@ class TestGenerate:
         p = 0.99 * 0.98
         assert abs(count - 2000 * p) < 6 * math.sqrt(2000 * p * (1 - p))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
     @pytest.mark.parametrize("draw", [
         lambda seed: generate(THREE, 10, seed),
         lambda seed: start_growth(THREE, seed),
         lambda seed: generate_exact_rounds(THREE, 10, seed),
     ], ids=["generate", "start_growth", "generate_exact_rounds"])
     def test_seed_outside_64_bits_rejected(self, draw, seed):
-        # derive_key masks to 64 bits, so these would alias seeds 2**64 - 1 and 0
+        # derive_key masks to 64 bits and truncates, so these would alias
+        # seeds 2**64 - 1, 0, 1 and 1
         with pytest.raises(ParameterError, match=re.escape(str(seed))):
             draw(seed)
         draw(2**64 - 1)
 
     def test_rounds_outside_int64_rejected(self):
         # counts are int64, and the Philox fallback cannot take 2**63 rounds
-        for n in (2**63, math.inf, math.nan):
+        for n in (2**63, math.inf, math.nan, True):
             with pytest.raises(ParameterError, match="n_rounds"):
                 generate(THREE, n, 0)
         assert generate(THREE, 2**63 - 1, 0).n_rounds == 2**63 - 1
         state = extend(start_growth(THREE, 0), 2**62)
         with pytest.raises(ParameterError, match="n_rounds"):
             extend(state, 2**62)
-        for delta in (math.inf, math.nan):
+        for delta in (math.inf, math.nan, True):
             with pytest.raises(ParameterError, match="delta_rounds"):
                 extend(state, delta)
         assert extend(state, 2**62 - 1).n_rounds == 2**63 - 1
+
+    def test_integral_values_give_the_int_graph(self):
+        m = sampled_measure()
+        ref = generate(m, 5, 2**64 - 1)
+        ref_grown = extend(start_growth(m, 2**64 - 1), 5)
+        for n, seed in ((np.int64(5), np.uint64(2**64 - 1)), (5.0, 2**64 - 1)):
+            assert generate(m, n, seed) == ref
+            grown = extend(start_growth(m, seed), n)
+            assert grown.graph == ref_grown.graph and type(grown.seed) is int
+        exact = generate_exact_rounds(THREE, 5, 7)
+        assert generate_exact_rounds(THREE, 5.0, np.uint64(7)) == exact
 
     def test_every_pair_is_hashed(self, monkeypatch):
         # most pairs expect far fewer than 1e-12 edges, and none is left out
@@ -456,6 +468,12 @@ class TestValidation:
             MultiGraph(5, 4, {(2, 2): 1})
         with pytest.raises(ParameterError):
             BinaryGraph(frozenset({(3, 3)}), 4)
+
+    @pytest.mark.parametrize("n_rounds", [2.5, True])
+    def test_round_count_must_be_an_integer(self, n_rounds):
+        message = f"n_rounds must be in [0, 2**63) and an integer, got {n_rounds!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(n_rounds, 3, {(0, 1): 2})
 
     def test_count_bounds(self):
         with pytest.raises(ParameterError):

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate, stats as st
 
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
-                               StickBreakingConfig, _round_atoms, rate_density,
-                               read_measure_csv, sample_three_param_bp,
+                               StickBreakingConfig, _round_atoms, check_integer,
+                               rate_density, read_measure_csv, sample_three_param_bp,
                                write_measure_csv)
 
 STD_PARAMS = BetaProcessParams(concentration=1.0, discount=0.1, mass=3.0)
@@ -34,6 +35,8 @@ class TestParameterValidation:
         dict(rounds=0), dict(rounds=-3),
         dict(rounds=1, weight_floor=-0.1), dict(rounds=1, weight_floor=1.0),
         dict(rounds=1, seed=-1), dict(rounds=1, seed=2 ** 64),
+        dict(rounds=1, seed=1.5), dict(rounds=1, seed=True),
+        dict(rounds=math.nan), dict(rounds=math.inf), dict(rounds=2.5), dict(rounds=True),
     ])
     def test_bad_config(self, kwargs):
         with pytest.raises(ParameterError):
@@ -41,6 +44,27 @@ class TestParameterValidation:
 
     def test_alpha_zero_allowed(self):
         BetaProcessParams(concentration=2.0, discount=0.0, mass=1.0)
+
+    @pytest.mark.parametrize("value", [1.5, True, np.True_, math.nan, math.inf, -1, 2**64,
+                                       "3", None, np.float64(2**64)])
+    def test_check_integer_names_field_and_value(self, value):
+        message = f"seed must be in [0, 2**64) and an integer, got {value!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            check_integer("seed", value, 0, 2**64)
+
+    @pytest.mark.parametrize("value", [np.uint64(2**64 - 1), np.int64(5), 5.0, np.float32(5)])
+    def test_check_integer_returns_python_int(self, value):
+        number = check_integer("seed", value, 0, 2**64)
+        assert type(number) is int and number == value
+
+    @pytest.mark.parametrize("rounds, seed", [(5.0, np.uint64(2**64 - 1)),
+                                              (np.int64(5), 2**64 - 1)])
+    def test_integral_values_give_the_int_measure(self, rounds, seed):
+        ref = sample_three_param_bp(STD_PARAMS, StickBreakingConfig(rounds=5, seed=2**64 - 1))
+        config = StickBreakingConfig(rounds=rounds, seed=seed)
+        assert config == ref.config and type(config.rounds) is type(config.seed) is int
+        m = sample_three_param_bp(STD_PARAMS, config)
+        assert np.array_equal(m.weights, ref.weights) and np.array_equal(m.labels, ref.labels)
 
 
 class TestRateDensity:
@@ -205,4 +229,11 @@ class TestMeasureCsv:
         path = tmp_path / "w.csv"
         path.write_text("a,b,c\n0,0.5,0.5\n")
         with pytest.raises(ParameterError):
+            read_measure_csv(path)
+
+    def test_reordered_atom_ids_rejected(self, tmp_path):
+        # an atom's id is its graph vertex, so a reordered file would relabel them
+        path = tmp_path / "w.csv"
+        path.write_text("atom_id,weight,label\n2,0.5,0.1\n0,0.25,0.2\n7,0.125,0.3\n")
+        with pytest.raises(ParameterError, match="row 1 has atom_id '2', expected 0"):
             read_measure_csv(path)

@@ -87,6 +87,14 @@ class TestFitLogLog:
         a, b = fit_loglog(xs, ys), fit_loglog(xs, ys)
         assert (a.slope, a.intercept, a.r_squared) == (b.slope, b.intercept, b.r_squared)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_values_rejected(self, bad, axis):
+        good = [1.0, 2.0, 3.0, 4.0, 5.0]
+        xs, ys = (good[:4] + [bad], good) if axis == "x" else (good, good[:4] + [bad])
+        with pytest.raises(FitError, match="finite"):
+            fit_loglog(xs, ys, 0.0, 1.0)
+
     def test_errors(self):
         good_x, good_y = [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]
         with pytest.raises(FitError):
