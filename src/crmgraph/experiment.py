@@ -22,7 +22,7 @@ from .fileio import open_text_sink, write_csv
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
                        check_integer, sample_three_param_bp)
-from .powerlaw import LogLogFit, PowerLawReport, classify, write_fits_csv, write_fits_json
+from .powerlaw import PowerLawReport, classify, write_fits_csv, write_fits_json
 from .rng import derive_key
 from .stats import GraphStats, _hist_rows, summarize
 
@@ -107,7 +107,6 @@ class SweepResult:
     config: ExperimentConfig
     rows: list[tuple[int, int, GraphStats]]  # (replica, n_rounds, stats)
     report: PowerLawReport
-    replica_type_i: dict[int, LogLogFit | None]
     elapsed_seconds: float
 
     @property
@@ -203,8 +202,6 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     rows = [row for replica in range(cfg.replicas) for row in results[replica]]
 
     report = classify(rows, lower_q=cfg.fit_lower_q, upper_q=cfg.fit_upper_q)
-    replica_type_i = {replica: report.fits[f"I_replica{replica}"]
-                      for replica in range(cfg.replicas)}
 
     save_config(cfg, out / "config.json")
     _write_sweep_csv(rows, out / "sweep.csv")
@@ -212,8 +209,7 @@ def run_sweep(cfg: ExperimentConfig) -> SweepResult:
     write_fits_csv(report.fits, out / "fits.csv")
     write_fits_json(report.fits, out / "fits.json")
 
-    return SweepResult(cfg, rows, report, replica_type_i,
-                       elapsed_seconds=time.perf_counter() - started)
+    return SweepResult(cfg, rows, report, elapsed_seconds=time.perf_counter() - started)
 
 
 def _write_sweep_csv(rows, path) -> None:

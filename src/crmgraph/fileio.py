@@ -35,7 +35,8 @@ def write_csv(target, header, rows) -> None:
 def read_csv(path, header) -> list[list[str]]:
     """The rows after the header of a CSV file whose first row is ``header``.
 
-    Raises ``ParameterError`` when the first row is anything else.
+    Raises ``ParameterError`` when the first row is anything else, or when a
+    data row has more or fewer fields than the header.
     """
     from .measures import ParameterError
 
@@ -45,4 +46,9 @@ def read_csv(path, header) -> list[list[str]]:
         if first != list(header):
             raise ParameterError(f"{path}: expected CSV header {','.join(header)!r}, "
                                  f"got {first}")
-        return list(reader)
+        rows = list(reader)
+    for k, row in enumerate(rows, 1):
+        if len(row) != len(header):
+            raise ParameterError(f"{path}: data row {k} has {len(row)} fields, "
+                                 f"expected {len(header)}")
+    return rows

@@ -35,7 +35,7 @@ import numpy as np
 
 from .fileio import read_csv, write_csv
 from .measures import AtomicMeasure, ParameterError, check_integer
-from .rng import derive_key, pair_hashes, pair_uniforms, philox, row_keys
+from .rng import derive_key, pair_hashes, philox, row_keys
 
 __all__ = [
     "MultiGraph",
@@ -234,8 +234,9 @@ def _zero_thresholds(ws: np.ndarray, n_rounds: int) -> np.ndarray:
     ``p <= ws[a] * ws[a+1]`` and a zero-count probability ``q0 = (1 - p)^n``
     at least that pair's.  The threshold is that level, shrunk by
     ``_ZERO_SLACK`` to absorb rounding in ``log1p`` and ``exp``, and put on the
-    hash scale of :func:`~crmgraph.rng.pair_uniforms`.  It is zero wherever
-    the level is below 2**-53, which includes every row with a Philox pair.
+    hash scale of :func:`_binomial_counts`, whose uniform is
+    ``(h >> 11) * 2**-53``.  It is zero wherever the level is below 2**-53,
+    which includes every row with a Philox pair.
     """
     heaviest = np.append(ws[:-1] * ws[1:], 0.0)  # the last row has no pairs
     q0 = np.exp(n_rounds * np.log1p(-heaviest))
@@ -243,15 +244,15 @@ def _zero_thresholds(ws: np.ndarray, n_rounds: int) -> np.ndarray:
     return level << np.uint64(11)
 
 
-def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
+def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
                      j: np.ndarray, n_rounds: int, probs: np.ndarray) -> np.ndarray:
     """Exact Binomial(n_rounds, p) count per pair from its keyed stream.
 
-    Counts come from inverse-CDF inversion of one keyed uniform per pair,
-    finished from the per-atom halves of the keys in ``atom_keys``; a pair
-    whose zero-count probability underflows instead draws from its own keyed
-    Philox stream.  Either way the value depends only on
-    (base_key, i, j, n_rounds, p).
+    Counts come from inverse-CDF inversion of one uniform per pair, the top
+    53 bits of its 64-bit keyed hash in ``hashes``, ``(h >> 11) * 2**-53``;
+    a pair whose zero-count probability underflows instead draws from its
+    own Philox stream keyed by (base_key, i, j).  Either way the value
+    depends only on (base_key, i, j, n_rounds, p).
     """
     counts = np.zeros(probs.size, dtype=np.int64)
     if probs.size == 0 or n_rounds == 0:
@@ -259,7 +260,7 @@ def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
 
     log_q0 = n_rounds * np.log1p(-probs)
     big = log_q0 < _LOG_PMF0_MIN
-    u = pair_uniforms(atom_keys[i], j)
+    u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     alive = np.flatnonzero((u >= np.exp(log_q0)) & ~big)
     if alive.size:
@@ -287,14 +288,16 @@ def _binomial_counts(base_key: int, atom_keys: np.ndarray, i: np.ndarray,
 
 def _survivor_batches(order: np.ndarray, lens: np.ndarray, atom_keys: np.ndarray,
                       zero_below: np.ndarray):
-    """The pairs whose count may be nonzero, as original indices (i, j),
-    i < j, in row order, in batches of at most ``_PAIR_BLOCK`` pairs (more
-    only when one hash block alone keeps more).  Row a pairs position a of
-    the descending ``order`` with every later position, ``lens[a]`` of them.
+    """The pairs whose count may be nonzero, as batches (i, j, h) of original
+    indices i < j and pair hashes, in row order, of at most ``_PAIR_BLOCK``
+    pairs (more only when one hash block alone keeps more).  Row a pairs
+    position a of the descending ``order`` with every later position,
+    ``lens[a]`` of them.
 
     A pair is kept when its hash is at or above its row's ``zero_below``
-    threshold.  Rows are hashed ``_HASH_BLOCK`` pairs at a time (a longer row
-    goes alone) in work buffers shared by every block.
+    threshold; :func:`_binomial_counts` draws from that same hash.  Rows are
+    hashed ``_HASH_BLOCK`` pairs at a time (a longer row goes alone) in work
+    buffers shared by every block.
     """
     ends = np.concatenate([[0], np.cumsum(lens)])
     size = min(int(ends[-1]), max(_HASH_BLOCK, int(lens[0])))
@@ -313,15 +316,15 @@ def _survivor_batches(order: np.ndarray, lens: np.ndarray, atom_keys: np.ndarray
         if parts and held + keep.size > _PAIR_BLOCK:
             yield _drain(parts)
             held = 0
-        parts.append((i[keep], j[keep]))
+        parts.append((i[keep], j[keep], h[keep]))
         held += keep.size
     if parts:
         yield _drain(parts)
 
 
 def _drain(parts: list):
-    """The (i, j) pieces in ``parts`` joined, emptying the list so that the
-    pieces are freed before the joined arrays are used."""
+    """The (i, j, h) pieces in ``parts`` joined, emptying the list so that
+    the pieces are freed before the joined arrays are used."""
     joined = tuple(np.concatenate(piece) for piece in zip(*parts))
     parts.clear()
     return joined
@@ -331,13 +334,13 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
                     epoch: int) -> dict:
     """One epoch of pair draws: {pair: positive count}.
 
-    Each pair is hashed and compared with its row's
+    Each pair is hashed once and its hash compared with its row's
     :func:`_zero_thresholds` entry.  A hash below it puts the pair's keyed
     uniform below the zero-count level of the row's heaviest pair, which is
     at most the pair's own level, so the pair's count is zero for certain.
-    Only the other pairs reach :func:`_binomial_counts`, whose counts depend
-    on nothing but the pair, so the counts and the order of the nonzero ones
-    are those of drawing every pair.
+    Only the other pairs, with their hashes, reach :func:`_binomial_counts`,
+    whose counts depend on nothing but the pair, so the counts and the order
+    of the nonzero ones are those of drawing every pair.
     """
     weights = measure.weights
     k = weights.size
@@ -347,16 +350,15 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     ws = weights[order]
     lens = k - 1 - np.arange(k)
     base_key = derive_key(seed, epoch)
-    atom_keys = row_keys(base_key, k)
     edges = {}
-    for i, j in _survivor_batches(order, lens, atom_keys,
-                                  _zero_thresholds(ws, delta_rounds)):
+    for i, j, h in _survivor_batches(order, lens, row_keys(base_key, k),
+                                     _zero_thresholds(ws, delta_rounds)):
         # weights[i] * weights[j] is bit for bit the ws[a] * ws[b] of the pair
-        counts = _binomial_counts(base_key, atom_keys, i, j, delta_rounds,
+        counts = _binomial_counts(base_key, h, i, j, delta_rounds,
                                   weights[i] * weights[j])
         nz = np.flatnonzero(counts)
         edges.update(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
-        del i, j, counts, nz  # freed before the next batch is joined
+        del i, j, h, counts, nz  # freed before the next batch is joined
     return edges
 
 

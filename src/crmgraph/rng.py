@@ -4,7 +4,7 @@ Every stochastic component of this package derives its randomness from
 explicit integer keys rather than shared global state, so that results are
 reproducible bit-for-bit and independent of how work is partitioned across
 workers.  Scalar key derivation uses the SplitMix64 finalizer; bulk per-item
-uniforms use the same mix applied to vectors of item indices.
+hashes use the same mix applied to vectors of item indices.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ def pair_hashes(row_key: np.ndarray, j: np.ndarray,
     """
     h = np.bitwise_xor(row_key, j.astype(np.uint64, copy=False), out=out)
     return mix64_array(h, out=h)
-
-
-def pair_uniforms(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Per-item uniforms in [0, 1): the top 53 bits of :func:`pair_hashes`."""
-    h = pair_hashes(row_key, j)
-    return (h >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def philox(*key_fields: int) -> np.random.Generator:

@@ -106,6 +106,12 @@ class TestGraphCommand:
         code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
         assert code == 2 and "atom_id '2'" in err and out == ""
 
+    def test_ragged_measure_row_exit_2(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("atom_id,weight,label\n0,0.5\n")
+        code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
+        assert code == 2 and "data row 1 has 2 fields, expected 3" in err and out == ""
+
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),
                              "--n", "5")
@@ -148,6 +154,17 @@ class TestStatsCommand:
         edges.write_text(text)
         code, out, err = run_cli(capsys, "stats", str(edges))
         assert code == 2 and "pair (0, 1)" in err and out == ""
+
+
+    @pytest.mark.parametrize("text,message", [
+        ("i,j\n0,1\n1,2,5\n", "data row 2 has 3 fields, expected 2"),
+        ("i,j,count\n0,1,2\n1\n", "data row 2 has 1 fields, expected 3"),
+    ])
+    def test_ragged_rows_exit_2(self, capsys, tmp_path, text, message):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text)
+        code, out, err = run_cli(capsys, "stats", str(edges))
+        assert code == 2 and message in err and out == ""
 
 
 class TestSweepCommand:

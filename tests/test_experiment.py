@@ -111,7 +111,7 @@ class TestRunSweep:
         cfg = small_config(tmp_path, rounds=1, n_start=10, n_stop=200, n_step=10, seed=3)
         result = run_sweep(cfg)
         assert {s.effective_vertices for r, _, s in result.rows if r == 0} == {5}
-        assert result.replica_type_i[0] is None
+        assert result.report.fits["I_replica0"] is None
         assert "constant" in result.report.notes["I_replica0"]
 
     def test_fit_table_is_one_classify_report(self, tmp_path, monkeypatch):
@@ -134,8 +134,8 @@ class TestRunSweep:
         present = [label for label, fit in result.report.fits.items() if fit is not None]
         assert labels == present
         assert labels == ["I", "IIa", "IIb", "IIIa", "IIIb", "I_replica1"]
-        assert result.replica_type_i == {r: result.report.fits[f"I_replica{r}"]
-                                         for r in range(3)}
+        assert [result.report.fits[f"I_replica{r}"] is None for r in range(3)] == [
+            True, False, True]
 
     def test_outputs_and_schema(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "1")
@@ -151,7 +151,8 @@ class TestRunSweep:
         assert hist_header == "replica,N,kind,r,count"
         assert len(result.rows) == cfg.replicas * len(cfg.n_grid())
         assert result.elapsed_seconds > 0.0
-        assert set(result.replica_type_i) == {0, 1}
+        assert {label for label in result.report.fits if label.startswith("I_replica")} == {
+            "I_replica0", "I_replica1"}
 
     def test_coupled_rows_dominate_earlier_rows(self, tmp_path, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "1")

@@ -13,7 +13,7 @@ from crmgraph.graphs import (BinaryGraph, MultiGraph, binarize, extend, generate
                              write_multigraph_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, sample_three_param_bp)
-from crmgraph.rng import derive_key, mix64, pair_hashes, pair_uniforms, row_keys
+from crmgraph.rng import derive_key, mix64, pair_hashes, row_keys
 
 
 def measure(*weights):
@@ -35,8 +35,8 @@ def keyed_hashes(base_key, i, j):
 
 
 def keyed_uniforms(base_key, i, j):
-    """Reference for pair_uniforms: one uniform in [0, 1) per (i, j) item,
-    the top 53 bits of its keyed hash."""
+    """Reference for the draw's uniforms: one uniform in [0, 1) per (i, j)
+    item, the top 53 bits of its keyed hash."""
     return np.array([(h >> 11) * 2.0 ** -53 for h in keyed_hashes(base_key, i, j)])
 
 
@@ -169,7 +169,8 @@ class TestGenerate:
         assert generate_exact_rounds(THREE, 5.0, np.uint64(7)) == exact
 
     def test_every_pair_is_hashed(self, monkeypatch):
-        # most pairs expect far fewer than 1e-12 edges, and none is left out
+        # most pairs expect far fewer than 1e-12 edges, and none is left out;
+        # the draw reuses the filter's hashes, so no pair is hashed twice
         hashed = []
 
         def counting(row_key, j, out=None):
@@ -177,6 +178,7 @@ class TestGenerate:
             return pair_hashes(row_key, j, out=out)
 
         monkeypatch.setattr(graphs, "pair_hashes", counting)
+        monkeypatch.setattr("crmgraph.rng.pair_hashes", counting)
         w = np.concatenate([[0.6, 0.3], np.geomspace(1e-7, 1e-9, 48)])
         m = AtomicMeasure(w, np.arange(w.size) / 64)
         n, pairs = 50, w.size * (w.size - 1) // 2
@@ -229,14 +231,6 @@ class TestPairBlocks:
         blocks = list(graphs._row_blocks(lens))
         assert blocks == [(0, 1), (1, 2), (2, 3), (3, 8)]
 
-    def test_row_keys_reproduce_keyed_uniforms(self):
-        rng = np.random.default_rng(0)
-        i = rng.integers(0, 500, 1000)
-        j = rng.integers(0, 500, 1000)
-        base = 0xDEADBEEFCAFEF00D
-        assert np.array_equal(pair_uniforms(row_keys(base, 500)[i], j),
-                              keyed_uniforms(base, i, j))
-
     def test_pair_hashes_reproduce_keyed_hashes(self):
         rng = np.random.default_rng(1)
         i = rng.integers(0, 500, 1000)
@@ -274,7 +268,8 @@ def reference_draw(weights, n_rounds, seed, epoch):
     i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
     probs = ws[a] * ws[b]
     base = derive_key(seed, epoch)
-    counts = graphs._binomial_counts(base, row_keys(base, k), i, j, n_rounds, probs)
+    hashes = pair_hashes(row_keys(base, k)[i], j)
+    counts = graphs._binomial_counts(base, hashes, i, j, n_rounds, probs)
     # a pair whose keyed uniform lies below its zero-count level draws zero
     log_q0 = n_rounds * np.log1p(-probs)
     zero = (keyed_uniforms(base, i, j) < np.exp(log_q0)) & (log_q0 >= graphs._LOG_PMF0_MIN)
@@ -541,6 +536,20 @@ class TestEdgeCsv:
         path = tmp_path / "edges.csv"
         path.write_text(text)
         with pytest.raises(ParameterError, match=re.escape("pair (1, 2)")):
+            read(path)
+
+    @pytest.mark.parametrize("read,text,row,fields", [
+        (read_multigraph_csv, "i,j,count\n0,1,2\n1\n", 2, 1),
+        (read_multigraph_csv, "i,j,count\n0,1,2,9\n", 1, 4),
+        (read_binarygraph_csv, "i,j\n0,1\n1,2,5\n", 2, 3),
+        (read_binarygraph_csv, "i,j\n0,1\n\n1,2\n", 2, 0),
+    ], ids=["multigraph-short", "multigraph-long", "binary-long", "binary-blank"])
+    def test_ragged_rows_rejected(self, tmp_path, read, text, row, fields):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        expected = len(text.split("\n", 1)[0].split(","))
+        with pytest.raises(ParameterError, match=re.escape(
+                f"data row {row} has {fields} fields, expected {expected}")):
             read(path)
 
     def test_bad_headers_rejected(self, tmp_path):

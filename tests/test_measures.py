@@ -231,6 +231,17 @@ class TestMeasureCsv:
         with pytest.raises(ParameterError):
             read_measure_csv(path)
 
+    @pytest.mark.parametrize("text,row,fields", [
+        ("atom_id,weight,label\n0,0.5\n", 1, 2),
+        ("atom_id,weight,label\n0,0.5,0.1\n1,0.25,0.2,0.3\n", 2, 4),
+    ], ids=["short", "long"])
+    def test_ragged_rows_rejected(self, tmp_path, text, row, fields):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError,
+                           match=f"data row {row} has {fields} fields, expected 3"):
+            read_measure_csv(path)
+
     def test_reordered_atom_ids_rejected(self, tmp_path):
         # an atom's id is its graph vertex, so a reordered file would relabel them
         path = tmp_path / "w.csv"
