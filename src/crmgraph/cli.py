@@ -10,14 +10,13 @@ and ``ccdf`` (survival curve of integer samples).  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from contextlib import nullcontext
 
 import numpy as np
 
 from . import experiment, graphs, measures, powerlaw, stats
-from .fileio import write_csv
+from .fileio import read_csv, write_csv
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -38,12 +37,14 @@ def _build_parser() -> _Parser:
                      description="Random graphs from completely random measures.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    desk = experiment.DESK_PROFILE
     p = sub.add_parser("measure", help="sample a stick-breaking measure to CSV")
-    p.add_argument("--gamma", type=float, default=3.0, help="mass / per-round Poisson rate")
-    p.add_argument("--theta", type=float, default=1.0, help="concentration")
-    p.add_argument("--alpha", type=float, default=0.1, help="discount in [0,1)")
-    p.add_argument("--rounds", type=int, default=1000)
-    p.add_argument("--floor", type=float, default=1e-10, help="drop atoms lighter than this")
+    p.add_argument("--gamma", type=float, default=desk.gamma, help="mass / per-round Poisson rate")
+    p.add_argument("--theta", type=float, default=desk.theta, help="concentration")
+    p.add_argument("--alpha", type=float, default=desk.alpha, help="discount in [0,1)")
+    p.add_argument("--rounds", type=int, default=desk.rounds)
+    p.add_argument("--floor", type=float, default=desk.weight_floor,
+                   help="drop atoms lighter than this")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
 
@@ -65,9 +66,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a config-driven sweep experiment")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="config.json path")
-    source.add_argument("--profile", choices=("desk", "paper"),
-                        help="built-in configuration; 'paper' sets 5000 stick-breaking "
-                             "rounds and an N step of 10")
+    source.add_argument("--profile", choices=experiment.PROFILES,
+                        help="built-in configuration; 'paper' is 'desk' on the "
+                             "paper's finer N grid")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="override the config's output directory")
     p.add_argument("--svg", action="store_true", help="also write a V-E scatter SVG")
@@ -134,10 +135,8 @@ def _cmd_sweep(args) -> int:
             cfg = experiment.load_config(args.config)
         except measures.ParameterError as exc:
             raise UsageError(f"{args.config}: {exc}") from None
-    elif args.profile == "paper":
-        cfg = experiment.PAPER_PROFILE
     else:
-        cfg = experiment.DESK_PROFILE
+        cfg = experiment.PROFILES[args.profile]
     try:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
@@ -158,17 +157,19 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _read_columns(path, names) -> list[list[str]]:
+    """The named columns of a CSV table, as field strings."""
+    header, rows = read_csv(path)
+    index = {name: k for k, name in enumerate(header)}
+    for name in names:
+        if name not in index:
+            raise powerlaw.FitError(f"column {name!r} not in {header}")
+    return [[row[index[name]] for row in rows] for name in names]
+
+
 def _cmd_fit(args) -> int:
-    with open(args.table, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or args.x not in reader.fieldnames \
-                or args.y not in reader.fieldnames:
-            raise powerlaw.FitError(
-                f"columns {args.x!r}, {args.y!r} not both present in {reader.fieldnames}")
-        xs, ys = [], []
-        for row in reader:
-            xs.append(float(row[args.x]))
-            ys.append(float(row[args.y]))
+    xs, ys = ([float(v) for v in column]
+              for column in _read_columns(args.table, (args.x, args.y)))
     fit = powerlaw.fit_loglog(xs, ys, args.lower_q, args.upper_q)
     powerlaw.write_fits_csv({f"{args.y}~{args.x}": fit}, args.out)
     return 0
@@ -176,11 +177,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_ccdf(args) -> int:
     if args.column is not None:
-        with open(args.samples, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or args.column not in reader.fieldnames:
-                raise powerlaw.FitError(f"column {args.column!r} not in {reader.fieldnames}")
-            tokens = [row[args.column] for row in reader]
+        [tokens] = _read_columns(args.samples, (args.column,))
     else:
         with nullcontext(sys.stdin) if args.samples == "-" else open(args.samples) as fh:
             tokens = fh.read().split()

@@ -37,6 +37,7 @@ __all__ = [
     "write_scatter_svg",
     "DESK_PROFILE",
     "PAPER_PROFILE",
+    "PROFILES",
 ]
 
 THREADS_ENV = "CRMGG_THREADS"
@@ -96,8 +97,11 @@ class ExperimentConfig:
 
 # Desk-scale default profile: runs in minutes on a laptop.
 DESK_PROFILE = ExperimentConfig()
-# The paper's settings: 5000 stick-breaking rounds and an N step of 10.
-PAPER_PROFILE = replace(DESK_PROFILE, rounds=5000, n_step=10)
+# The paper's N step of 10.  It keeps the desk's 1000 stick-breaking rounds:
+# at the 1e-10 weight floor, later rounds yield no atom, and 5000 rounds gave
+# the same measure, weights and labels, on all 80 replicas of master seeds 0-7.
+PAPER_PROFILE = replace(DESK_PROFILE, n_step=10)
+PROFILES = {"desk": DESK_PROFILE, "paper": PAPER_PROFILE}
 
 
 @dataclass(frozen=True)

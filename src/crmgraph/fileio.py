@@ -1,8 +1,8 @@
 """Text sinks and the one CSV dialect every table is written in.
 
 Every table the package writes goes through :func:`write_csv` (comma
-separated, minimal quoting, ``\\n`` line endings), and the fixed-header
-tables it reads back go through :func:`read_csv`.
+separated, minimal quoting, ``\\n`` line endings), and every table it reads
+back goes through :func:`read_csv`.
 """
 
 from __future__ import annotations
@@ -32,23 +32,24 @@ def write_csv(target, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_csv(path, header) -> list[list[str]]:
-    """The rows after the header of a CSV file whose first row is ``header``.
+def read_csv(path, header=None) -> tuple[list[str], list[list[str]]]:
+    """The first row of a CSV file and the data rows after it.
 
-    Raises ``ParameterError`` when the first row is anything else, or when a
-    data row has more or fewer fields than the header.
+    Raises ``ParameterError`` when ``header`` is given and the first row is
+    anything else, or when a data row has more or fewer fields than the
+    first row.
     """
     from .measures import ParameterError
 
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
-        if first != list(header):
+        if header is not None and first != list(header):
             raise ParameterError(f"{path}: expected CSV header {','.join(header)!r}, "
                                  f"got {first}")
         rows = list(reader)
     for k, row in enumerate(rows, 1):
-        if len(row) != len(header):
+        if len(row) != len(first):
             raise ParameterError(f"{path}: data row {k} has {len(row)} fields, "
-                                 f"expected {len(header)}")
-    return rows
+                                 f"expected {len(first)}")
+    return first or [], rows

@@ -255,30 +255,26 @@ def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
     depends only on (base_key, i, j, n_rounds, p).
     """
     counts = np.zeros(probs.size, dtype=np.int64)
-    if probs.size == 0 or n_rounds == 0:
-        return counts
-
     log_q0 = n_rounds * np.log1p(-probs)
     big = log_q0 < _LOG_PMF0_MIN
     u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
+    # k, the steps every alive pair has taken, is a float: the counts depend
+    # on n_rounds - k rounding to a double when n_rounds >= 2**53
     alive = np.flatnonzero((u >= np.exp(log_q0)) & ~big)
-    if alive.size:
-        p = probs[alive]
-        ratio = p / (1.0 - p)
-        pmf = np.exp(log_q0[alive])
-        cdf = pmf.copy()
-        k = np.zeros(alive.size)
-        ua = u[alive]
-        while alive.size:
-            pmf *= (n_rounds - k) / (k + 1.0) * ratio
-            k += 1.0
-            cdf += pmf
-            done = (ua < cdf) | (k >= n_rounds)
-            counts[alive[done]] = k[done].astype(np.int64)
-            keep = ~done
-            alive, pmf, cdf, k, ua, ratio = (
-                alive[keep], pmf[keep], cdf[keep], k[keep], ua[keep], ratio[keep])
+    ratio = probs[alive] / (1.0 - probs[alive])
+    pmf = np.exp(log_q0[alive])
+    cdf = pmf.copy()
+    ua = u[alive]
+    k = 0.0
+    while alive.size:
+        pmf *= (n_rounds - k) / (k + 1.0) * ratio
+        k += 1.0
+        cdf += pmf
+        done = (ua < cdf) | (k >= n_rounds)
+        counts[alive[done]] = k
+        keep = ~done
+        alive, pmf, cdf, ua, ratio = alive[keep], pmf[keep], cdf[keep], ua[keep], ratio[keep]
 
     for idx in np.flatnonzero(big):
         rng = philox(base_key, int(i[idx]), int(j[idx]))
@@ -446,7 +442,7 @@ def write_multigraph_csv(graph: MultiGraph, path) -> None:
 def _read_edges(path, header, atom_count):
     """An edge-list CSV's rows by pair, where no pair may repeat, and the atom count."""
     edges = {}
-    for i, j, *rest in read_csv(path, header):
+    for i, j, *rest in read_csv(path, header)[1]:
         pair = (int(i), int(j))
         if pair in edges:
             raise ParameterError(f"{path}: pair {pair} appears on more than one row")

@@ -261,7 +261,7 @@ def write_measure_csv(measure: AtomicMeasure, path: str | Path) -> None:
 def read_measure_csv(path: str | Path) -> AtomicMeasure:
     """Read a measure written by :func:`write_measure_csv` (no provenance),
     whose atom ids, the graph vertices, run 0..k-1 in row order."""
-    rows = read_csv(path, _MEASURE_HEADER)
+    _, rows = read_csv(path, _MEASURE_HEADER)
     for k, row in enumerate(rows):
         if row[0] != str(k):
             raise ParameterError(f"{path}: data row {k + 1} has atom_id {row[0]!r}, expected {k}")

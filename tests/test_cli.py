@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from crmgraph import experiment
 from crmgraph.cli import cli_dispatch
-from crmgraph.experiment import ExperimentConfig, save_config
+from crmgraph.experiment import DESK_PROFILE, PAPER_PROFILE, ExperimentConfig, save_config
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +242,21 @@ class TestSweepCommand:
         assert code == 0
         assert (out_dir / "fits.json").exists()
 
+    def test_paper_profile_config(self, capsys, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(cfg):
+            seen.append(cfg)
+            raise RuntimeError("not sampled")
+
+        monkeypatch.setattr(experiment, "run_sweep", stop)
+        out_dir = str(tmp_path / "paper")
+        code, _, err = run_cli(capsys, "sweep", "--profile", "paper", "--seed", "3",
+                               "--out", out_dir)
+        assert code == 2 and "not sampled" in err
+        assert seen == [replace(PAPER_PROFILE, seed=3, out_dir=out_dir)] \
+            == [replace(DESK_PROFILE, n_step=10, seed=3, out_dir=out_dir)]
+
 
 class TestFitCommand:
     def test_fit_columns(self, capsys, tmp_path):
@@ -310,6 +327,21 @@ class TestCcdfCommand:
         samples = tmp_path / "z.txt"
         samples.write_text("0\n0\n")
         assert run_cli(capsys, "ccdf", str(samples))[0] == 2
+
+
+@pytest.mark.parametrize("argv", [("fit", "--x", "V", "--y", "E", "--lower-q", "0"),
+                                  ("ccdf", "--column", "E")], ids=["fit", "ccdf"])
+@pytest.mark.parametrize("text,message", [
+    ("V,E\n1,2\n2,3,99\n4,5\n5,6\n6,7\n", "data row 2 has 3 fields, expected 2"),
+    ("V,E\n1,2\n3\n4,5\n5,6\n6,7\n", "data row 2 has 1 fields, expected 2"),
+    ("V,E\n1,2\n\n4,5\n5,6\n6,7\n7,8\n", "data row 2 has 0 fields, expected 2"),
+], ids=["long", "short", "blank"])
+def test_ragged_column_table_exit_2(capsys, tmp_path, argv, text, message):
+    table = tmp_path / "t.csv"
+    table.write_text(text)
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, str(table), *flags)
+    assert code == 2 and message in err and out == ""
 
 
 @pytest.fixture(scope="module")

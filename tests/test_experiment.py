@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from crmgraph import experiment
 from crmgraph.experiment import (DESK_PROFILE, PAPER_PROFILE, ExperimentConfig,
                                  ExperimentError, load_config, run_sweep,
                                  save_config, worker_count, write_scatter_svg)
-from crmgraph.measures import ParameterError
+from crmgraph.measures import ParameterError, sample_three_param_bp
 from crmgraph.powerlaw import classify
+from crmgraph.rng import derive_key
 
 
 def small_config(tmp_path, **overrides):
@@ -51,7 +53,18 @@ class TestConfig:
         assert DESK_PROFILE.rounds == 1000
         assert DESK_PROFILE.n_grid()[0] == 50 and DESK_PROFILE.n_grid()[-1] == 2000
         assert DESK_PROFILE.replicas == 10
-        assert PAPER_PROFILE.rounds == 5000 and PAPER_PROFILE.n_step == 10
+        assert PAPER_PROFILE == replace(DESK_PROFILE, n_step=10)
+
+    def test_rounds_past_the_desk_add_no_atom(self):
+        # why PAPER_PROFILE keeps the desk's rounds: at the desk parameters and
+        # floor, 5000 stick-breaking rounds give the same measure as 1000
+        for replica in (0, 1):
+            seed = derive_key(DESK_PROFILE.seed, replica)
+            short = sample_three_param_bp(DESK_PROFILE.params(), DESK_PROFILE.sticks(seed))
+            long = sample_three_param_bp(DESK_PROFILE.params(),
+                                         replace(DESK_PROFILE, rounds=5000).sticks(seed))
+            np.testing.assert_array_equal(long.weights, short.weights)
+            np.testing.assert_array_equal(long.labels, short.labels)
 
     def test_json_round_trip_bytes(self, tmp_path):
         cfg = small_config(tmp_path)

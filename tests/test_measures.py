@@ -231,6 +231,12 @@ class TestMeasureCsv:
         with pytest.raises(ParameterError):
             read_measure_csv(path)
 
+    def test_header_checked_before_row_widths(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("a,b\n0,0.5,0.5\n")
+        with pytest.raises(ParameterError, match="expected CSV header 'atom_id,weight,label'"):
+            read_measure_csv(path)
+
     @pytest.mark.parametrize("text,row,fields", [
         ("atom_id,weight,label\n0,0.5\n", 1, 2),
         ("atom_id,weight,label\n0,0.5,0.1\n1,0.25,0.2,0.3\n", 2, 4),
