@@ -52,13 +52,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", required=True, help="measure CSV (atom_id,weight,label)")
     p.add_argument("--n", type=int, required=True, help="number of edge rounds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--binary", action="store_true", help="emit i,j instead of i,j,count")
+    p.add_argument("--binary", action="store_true",
+                   help="emit pairs without counts (the binary graph)")
     p.add_argument("--exact-rounds", action="store_true",
                    help="literal round-by-round reference sampler (small inputs only)")
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("stats", help="snapshot statistics of an edge-list CSV")
-    p.add_argument("edges", help="edge CSV with header i,j or i,j,count")
+    p.add_argument("edges", help="edge CSV as 'graph' writes it, with or without --binary")
     p.add_argument("--n", type=int, default=0, help="round count to label the snapshot with")
     p.add_argument("--long", action="store_true", help="long histogram format")
     p.add_argument("--out", default="-")
@@ -103,25 +104,14 @@ def _cmd_graph(args) -> int:
         graph = graphs.generate_exact_rounds(measure, args.n, args.seed)
     else:
         graph = graphs.generate(measure, args.n, args.seed)
-    if args.binary:
-        graphs.write_binarygraph_csv(graphs.binarize(graph), args.out)
-    else:
-        graphs.write_multigraph_csv(graph, args.out)
+    graphs.write_edges_csv(graphs.binarize(graph) if args.binary else graph, args.out)
     return 0
 
 
-def _read_edges_as_binary(path) -> graphs.BinaryGraph:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-    if header == "i,j,count":
-        return graphs.binarize(graphs.read_multigraph_csv(path))
-    if header == "i,j":
-        return graphs.read_binarygraph_csv(path)
-    raise measures.ParameterError(f"unrecognized edge CSV header: {header!r}")
-
-
 def _cmd_stats(args) -> int:
-    snap = stats.summarize(_read_edges_as_binary(args.edges), args.n)
+    graph = graphs.read_edges_csv(args.edges)
+    binary = graph if isinstance(graph, graphs.BinaryGraph) else graphs.binarize(graph)
+    snap = stats.summarize(binary, args.n)
     writer = stats.write_stats_long_csv if args.long else stats.write_stats_wide_csv
     writer([snap], args.out)
     return 0

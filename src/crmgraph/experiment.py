@@ -44,6 +44,11 @@ THREADS_ENV = "CRMGG_THREADS"
 
 GROWTH_MODES = ("coupled", "independent")
 
+# Most snapshots (grid points x replicas) a sweep may take, 1,960 for the paper
+# profile: every worker builds the whole grid and the pool holds a future per
+# replica, so a larger sweep fails at construction, not out of memory.
+_MAX_SNAPSHOTS = 10**6
+
 
 class ExperimentError(RuntimeError):
     """A sweep could not complete; the message names the failed replicas."""
@@ -74,6 +79,10 @@ class ExperimentConfig:
         for name, lo, hi in (("n_start", 0, 2**63), ("n_stop", self.n_start, 2**63),
                              ("n_step", 1, 2**63), ("replicas", 1, 2**63), ("seed", 0, 2**64)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), lo, hi))
+        points = (self.n_stop - self.n_start) // self.n_step + 1  # len(range()) overflows
+        if points * self.replicas > _MAX_SNAPSHOTS:
+            raise ParameterError(f"{points} grid points x {self.replicas} replicas exceed "
+                                 f"the {_MAX_SNAPSHOTS} snapshots a sweep may take")
         if self.growth_mode not in GROWTH_MODES:
             raise ParameterError(f"growth_mode must be one of {GROWTH_MODES}")
         if not 0 <= self.fit_lower_q < self.fit_upper_q <= 1:
@@ -265,8 +274,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def write_scatter_svg(points, path, *, x_label: str, y_label: str,
-                      width: int = 480, height: int = 360) -> None:
+def write_scatter_svg(points, path, *, x_label: str, y_label: str) -> None:
     """Minimal log-log scatter plot as a standalone SVG file.
 
     Data emission elsewhere is CSV; this exists only for a quick visual
@@ -281,7 +289,7 @@ def write_scatter_svg(points, path, *, x_label: str, y_label: str,
     y0, y1 = min(ly), max(ly)
     xs = 1.0 if x1 == x0 else x1 - x0
     ys = 1.0 if y1 == y0 else y1 - y0
-    pad, radius = 40, 2.5
+    width, height, pad, radius = 480, 360, 40, 2.5
 
     def to_px(u, v):
         px = pad + (u - x0) / xs * (width - 2 * pad)

@@ -14,18 +14,16 @@ from contextlib import contextmanager
 
 @contextmanager
 def open_text_sink(target):
-    """Yield a writable text file for a path, "-" (stdout), or file object."""
+    """Yield a writable text file for a path or "-" (stdout)."""
     if target == "-":
         yield sys.stdout
-    elif hasattr(target, "write"):
-        yield target
     else:
         with open(target, "w", newline="") as fh:
             yield fh
 
 
 def write_csv(target, header, rows) -> None:
-    """Write a header row and then ``rows`` to a path, "-" or file object."""
+    """Write a header row and then ``rows`` to a path or "-" (stdout)."""
     with open_text_sink(target) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

@@ -46,10 +46,8 @@ __all__ = [
     "start_growth",
     "extend",
     "binarize",
-    "write_multigraph_csv",
-    "read_multigraph_csv",
-    "write_binarygraph_csv",
-    "read_binarygraph_csv",
+    "write_edges_csv",
+    "read_edges_csv",
 ]
 
 # generate_exact_rounds exists to cross-check distributions, not to scale.
@@ -199,13 +197,11 @@ class GrowthState:
         return self.graph.n_rounds
 
 
-def _row_blocks(lens: np.ndarray, block: int | None = None):
+def _row_blocks(lens: np.ndarray, block: int):
     """Consecutive row ranges [start, stop) of at most ``block`` pairs.
 
-    ``block`` defaults to ``_PAIR_BLOCK``.  A row longer than the block size
-    forms a block on its own.
+    A row longer than the block size forms a block on its own.
     """
-    block = _PAIR_BLOCK if block is None else block
     ends = np.cumsum(lens)
     start, done = 0, 0
     while done < ends[-1]:
@@ -433,45 +429,40 @@ def binarize(graph: MultiGraph) -> BinaryGraph:
     return BinaryGraph(frozenset(graph.edge_counts), graph.atom_count)
 
 
-def write_multigraph_csv(graph: MultiGraph, path) -> None:
-    """Write ``i,j,count`` rows sorted by pair."""
-    write_csv(path, _MULTIGRAPH_HEADER,
-              ((i, j, count) for (i, j), count in sorted(graph.edge_counts.items())))
+def write_edges_csv(graph: MultiGraph | BinaryGraph, path) -> None:
+    """Write a MultiGraph as ``i,j,count`` rows or a BinaryGraph as ``i,j``
+    rows, sorted by pair."""
+    if isinstance(graph, MultiGraph):
+        write_csv(path, _MULTIGRAPH_HEADER,
+                  ((*pair, count) for pair, count in sorted(graph.edge_counts.items())))
+    else:
+        write_csv(path, _BINARYGRAPH_HEADER, sorted(graph.adjacency))
 
 
-def _read_edges(path, header, atom_count):
-    """An edge-list CSV's rows by pair, where no pair may repeat, and the atom count."""
+def _int_field(path, row: int, name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{path}: data row {row} has {name} {text!r}, "
+                             f"expected an integer") from None
+
+
+def read_edges_csv(path) -> MultiGraph | BinaryGraph:
+    """The graph an edge-list CSV's header names: a MultiGraph for
+    ``i,j,count``, a BinaryGraph for ``i,j``.  No pair may repeat.  The atom
+    count is one past the largest id and the round count the largest count,
+    the smallest totals consistent with the data."""
+    first, rows = read_csv(path)
+    header = tuple(first)
+    if header not in (_MULTIGRAPH_HEADER, _BINARYGRAPH_HEADER):
+        raise ParameterError(f"{path}: unrecognized edge CSV header {','.join(header)!r}")
     edges = {}
-    for i, j, *rest in read_csv(path, header)[1]:
-        pair = (int(i), int(j))
-        if pair in edges:
-            raise ParameterError(f"{path}: pair {pair} appears on more than one row")
-        edges[pair] = rest
-    if atom_count is None:
-        atom_count = 1 + max((j for _, j in edges), default=-1)
-    return edges, atom_count
-
-
-def read_multigraph_csv(path, n_rounds: int | None = None,
-                        atom_count: int | None = None) -> MultiGraph:
-    """Read an ``i,j,count`` file.
-
-    When ``n_rounds`` is unknown the largest count observed is used, the
-    smallest round total consistent with the data.
-    """
-    rows, atom_count = _read_edges(path, _MULTIGRAPH_HEADER, atom_count)
-    edges = {pair: int(count) for pair, (count,) in rows.items()}
-    if n_rounds is None:
-        n_rounds = max(edges.values(), default=0)
-    return MultiGraph(n_rounds, atom_count, edges)
-
-
-def write_binarygraph_csv(graph: BinaryGraph, path) -> None:
-    """Write ``i,j`` rows sorted by pair."""
-    write_csv(path, _BINARYGRAPH_HEADER, sorted(graph.adjacency))
-
-
-def read_binarygraph_csv(path, atom_count: int | None = None) -> BinaryGraph:
-    """Read an ``i,j`` file written by :func:`write_binarygraph_csv`."""
-    pairs, atom_count = _read_edges(path, _BINARYGRAPH_HEADER, atom_count)
-    return BinaryGraph(frozenset(pairs), atom_count)
+    for k, row in enumerate(rows, 1):
+        i, j, *count = (_int_field(path, k, name, text) for name, text in zip(header, row))
+        if (i, j) in edges:
+            raise ParameterError(f"{path}: pair {(i, j)} appears on more than one row")
+        edges[i, j] = count[0] if count else None
+    atom_count = 1 + max((j for _, j in edges), default=-1)
+    if header == _BINARYGRAPH_HEADER:
+        return BinaryGraph(frozenset(edges), atom_count)
+    return MultiGraph(max(edges.values(), default=0), atom_count, edges)

@@ -140,7 +140,31 @@ class TestStatsCommand:
     def test_bad_header(self, capsys, tmp_path):
         edges = tmp_path / "edges.csv"
         edges.write_text("x,y\n0,1\n")
-        assert run_cli(capsys, "stats", str(edges))[0] == 2
+        code, out, err = run_cli(capsys, "stats", str(edges))
+        assert code == 2 and out == ""
+        assert f"{edges}: unrecognized edge CSV header 'x,y'" in err
+
+    @pytest.mark.parametrize("layout", [(), ("--long",)], ids=["wide", "long"])
+    def test_binary_twin_gives_same_stats(self, capsys, measure_csv, tmp_path, layout):
+        paths = [tmp_path / "multi.csv", tmp_path / "binary.csv"]
+        for path, flag in zip(paths, ((), ("--binary",))):
+            code, _, _ = run_cli(capsys, "graph", "--weights", str(measure_csv), "--n", "300",
+                                 "--seed", "7", *flag, "--out", str(path))
+            assert code == 0
+        assert [p.read_text().split("\n", 1)[0] for p in paths] == ["i,j,count", "i,j"]
+        multi, binary = (run_cli(capsys, "stats", str(p), "--n", "300", *layout)
+                         for p in paths)
+        assert multi == binary and multi[0] == 0 and multi[1].count("\n") >= 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("i,j\n0,1\n0.0,2\n", "data row 2 has i '0.0', expected an integer"),
+        ("i,j,count\n0,1,x\n", "data row 1 has count 'x', expected an integer"),
+    ], ids=["binary", "multigraph"])
+    def test_non_integer_field_exit_2(self, capsys, tmp_path, text, message):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(text)
+        code, out, err = run_cli(capsys, "stats", str(edges))
+        assert code == 2 and f"{edges}: {message}" in err and out == ""
 
     def test_negative_round_count_exit_2(self, capsys, tmp_path):
         edges = tmp_path / "edges.csv"
@@ -220,6 +244,20 @@ class TestSweepCommand:
         cfg_path.write_text(text)
         code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
         assert code == 1 and "config" in err
+
+    @pytest.mark.parametrize("overrides,numbers", [
+        (dict(n_start=0, n_stop=10**12, n_step=1), ("1000000000001 grid points", "10 replicas")),
+        (dict(replicas=2**62), ("40 grid points", f"{2**62} replicas")),
+    ], ids=["grid", "replicas"])
+    def test_oversized_sweep_exit_1(self, capsys, tmp_path, monkeypatch, overrides, numbers):
+        # nothing may be sampled, whatever the check lets through
+        monkeypatch.setattr(experiment, "run_sweep", lambda cfg: 1 / 0)
+        cfg_path = tmp_path / "cfg.json"
+        save_config(ExperimentConfig(out_dir=str(tmp_path / "out")), cfg_path)
+        cfg_path.write_text(json.dumps({**json.loads(cfg_path.read_text()), **overrides}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 1 and "exceed the 1000000 snapshots" in err
+        assert all(number in err for number in numbers)
 
     def test_config_and_profile_mutually_exclusive(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "sweep", "--config", "a.json", "--profile", "desk")

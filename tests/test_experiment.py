@@ -41,6 +41,20 @@ class TestConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(n_start=0, n_stop=10**12, n_step=1), dict(replicas=2**62),
+        dict(n_start=0, n_stop=2**63 - 1, n_step=1),
+        dict(n_start=1, n_stop=100_001, n_step=1, replicas=10),
+    ])
+    def test_oversized_sweep_rejected(self, overrides):
+        # built only: n_grid() or a sweep on these would not fit in memory
+        with pytest.raises(ParameterError, match="snapshots"):
+            ExperimentConfig(**overrides)
+
+    def test_largest_sweep_accepted(self):
+        cfg = ExperimentConfig(n_start=1, n_stop=100_000, n_step=1, replicas=10)
+        assert len(cfg.n_grid()) * cfg.replicas == 10**6
+
     def test_integral_values_saved_as_ints(self, tmp_path):
         # config.json must hold ints, or load_config would reject the file
         path = tmp_path / "config.json"

@@ -8,9 +8,8 @@ from scipy import stats as st
 
 from crmgraph import graphs
 from crmgraph.graphs import (BinaryGraph, MultiGraph, binarize, extend, generate,
-                             generate_exact_rounds, read_binarygraph_csv, read_multigraph_csv,
-                             start_growth, write_binarygraph_csv,
-                             write_multigraph_csv)
+                             generate_exact_rounds, read_edges_csv, start_growth,
+                             write_edges_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, sample_three_param_bp)
 from crmgraph.rng import derive_key, mix64, pair_hashes, row_keys
@@ -225,10 +224,9 @@ class TestPairBlocks:
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
         assert trajectory_record(m, **kwargs) == expected
 
-    def test_blocks_cover_rows_in_order(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 10)
+    def test_blocks_cover_rows_in_order(self):
         lens = np.array([25, 9, 8, 3, 2, 1, 0, 0])
-        blocks = list(graphs._row_blocks(lens))
+        blocks = list(graphs._row_blocks(lens, 10))
         assert blocks == [(0, 1), (1, 2), (2, 3), (3, 8)]
 
     def test_pair_hashes_reproduce_keyed_hashes(self):
@@ -505,57 +503,88 @@ class TestEdgeCsv:
     def test_multigraph_round_trip_sorted_rows(self, tmp_path):
         g = generate(sampled_measure(seed=2, rounds=150), 80, seed=6)
         path = tmp_path / "edges.csv"
-        write_multigraph_csv(g, path)
+        write_edges_csv(g, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j,count"
         pairs = [tuple(map(int, line.split(",")[:2])) for line in lines[1:]]
         assert pairs == sorted(pairs)
-        back = read_multigraph_csv(path, n_rounds=80, atom_count=g.atom_count)
+        back = read_edges_csv(path)
+        assert isinstance(back, MultiGraph)
         assert back.edge_counts == g.edge_counts
+        assert back.n_rounds == max(g.edge_counts.values()) <= g.n_rounds
+        assert back.atom_count == 1 + max(j for _, j in g.edge_counts) <= g.atom_count
 
     def test_multigraph_read_infers_minimal_rounds(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("i,j,count\n0,1,4\n1,2,2\n")
-        g = read_multigraph_csv(path)
-        assert g.n_rounds == 4 and g.atom_count == 3
+        g = read_edges_csv(path)
+        assert g == MultiGraph(4, 3, {(0, 1): 4, (1, 2): 2})
 
     def test_binary_round_trip(self, tmp_path):
         z = binarize(generate(sampled_measure(seed=2, rounds=150), 80, seed=6))
         path = tmp_path / "edges.csv"
-        write_binarygraph_csv(z, path)
+        write_edges_csv(z, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "i,j"
-        back = read_binarygraph_csv(path, atom_count=z.atom_count)
+        assert lines[1:] == [f"{i},{j}" for i, j in sorted(z.adjacency)]
+        back = read_edges_csv(path)
+        assert isinstance(back, BinaryGraph)
         assert back.adjacency == z.adjacency
 
-    @pytest.mark.parametrize("read,text", [
-        (read_multigraph_csv, "i,j,count\n0,1,3\n1,2,2\n1,2,1\n0,1,5\n"),
-        (read_binarygraph_csv, "i,j\n0,1\n1,2\n1,2\n0,1\n"),
+    def test_binary_read(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n0,1\n1,3\n")
+        assert read_edges_csv(path) == BinaryGraph(frozenset({(0, 1), (1, 3)}), 4)
+
+    @pytest.mark.parametrize("text", ["i,j,count\n", "i,j\n"])
+    def test_empty_edge_lists(self, tmp_path, text):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        g = read_edges_csv(path)
+        assert g.atom_count == 0
+        write_edges_csv(g, tmp_path / "back.csv")
+        assert (tmp_path / "back.csv").read_text() == text
+
+    @pytest.mark.parametrize("text", [
+        "i,j,count\n0,1,3\n1,2,2\n1,2,1\n0,1,5\n",
+        "i,j\n0,1\n1,2\n1,2\n0,1\n",
     ], ids=["multigraph", "binary"])
-    def test_repeated_rows_rejected(self, tmp_path, read, text):
+    def test_repeated_rows_rejected(self, tmp_path, text):
         path = tmp_path / "edges.csv"
         path.write_text(text)
         with pytest.raises(ParameterError, match=re.escape("pair (1, 2)")):
-            read(path)
+            read_edges_csv(path)
 
-    @pytest.mark.parametrize("read,text,row,fields", [
-        (read_multigraph_csv, "i,j,count\n0,1,2\n1\n", 2, 1),
-        (read_multigraph_csv, "i,j,count\n0,1,2,9\n", 1, 4),
-        (read_binarygraph_csv, "i,j\n0,1\n1,2,5\n", 2, 3),
-        (read_binarygraph_csv, "i,j\n0,1\n\n1,2\n", 2, 0),
+    @pytest.mark.parametrize("text,row,fields", [
+        ("i,j,count\n0,1,2\n1\n", 2, 1),
+        ("i,j,count\n0,1,2,9\n", 1, 4),
+        ("i,j\n0,1\n1,2,5\n", 2, 3),
+        ("i,j\n0,1\n\n1,2\n", 2, 0),
     ], ids=["multigraph-short", "multigraph-long", "binary-long", "binary-blank"])
-    def test_ragged_rows_rejected(self, tmp_path, read, text, row, fields):
+    def test_ragged_rows_rejected(self, tmp_path, text, row, fields):
         path = tmp_path / "edges.csv"
         path.write_text(text)
         expected = len(text.split("\n", 1)[0].split(","))
         with pytest.raises(ParameterError, match=re.escape(
                 f"data row {row} has {fields} fields, expected {expected}")):
-            read(path)
+            read_edges_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("i,j\n0,1\n0.0,2\n", "data row 2 has i '0.0', expected an integer"),
+        ("i,j\n0,x\n", "data row 1 has j 'x', expected an integer"),
+        ("i,j,count\n0,1,2\n1,2,x\n", "data row 2 has count 'x', expected an integer"),
+        ("i,j,count\n0,1,\n", "data row 1 has count '', expected an integer"),
+    ], ids=["binary-float", "binary-word", "multigraph-word", "multigraph-empty"])
+    def test_non_integer_fields_rejected(self, tmp_path, text, message):
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: {message}")):
+            read_edges_csv(path)
 
     def test_bad_headers_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ParameterError):
-            read_multigraph_csv(path)
-        with pytest.raises(ParameterError):
-            read_binarygraph_csv(path)
+        for header, row in (("a,b", "0,1"), ("i,j,w", "0,1,2"), ("j,i", "0,1"), ("", "")):
+            path.write_text(f"{header}\n{row}\n" if header else "")
+            with pytest.raises(ParameterError, match=re.escape(
+                    f"{path}: unrecognized edge CSV header {header!r}")):
+                read_edges_csv(path)
