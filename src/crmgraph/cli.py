@@ -16,7 +16,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import experiment, graphs, measures, powerlaw, stats
-from .fileio import read_csv, write_csv
+from .fileio import column, read_csv, write_csv
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -147,19 +147,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _read_columns(path, names) -> list[list[str]]:
-    """The named columns of a CSV table, as field strings."""
-    header, rows = read_csv(path)
-    index = {name: k for k, name in enumerate(header)}
-    for name in names:
-        if name not in index:
-            raise powerlaw.FitError(f"column {name!r} not in {header}")
-    return [[row[index[name]] for row in rows] for name in names]
-
-
 def _cmd_fit(args) -> int:
-    xs, ys = ([float(v) for v in column]
-              for column in _read_columns(args.table, (args.x, args.y)))
+    header, rows = read_csv(args.table)
+    xs, ys = (column(args.table, header, rows, name, float) for name in (args.x, args.y))
     fit = powerlaw.fit_loglog(xs, ys, args.lower_q, args.upper_q)
     powerlaw.write_fits_csv({f"{args.y}~{args.x}": fit}, args.out)
     return 0
@@ -167,14 +157,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_ccdf(args) -> int:
     if args.column is not None:
-        [tokens] = _read_columns(args.samples, (args.column,))
+        header, rows = read_csv(args.samples)
+        values = np.array(column(args.samples, header, rows, args.column, float))
     else:
         with nullcontext(sys.stdin) if args.samples == "-" else open(args.samples) as fh:
-            tokens = fh.read().split()
-    values = np.array(tokens, dtype=float)  # a non-number raises, naming itself
+            values = np.array(fh.read().split(), dtype=float)  # a non-number names itself
     bad = np.flatnonzero(~(np.abs(values) < 2**53) | (np.floor(values) != values))
     if bad.size:
-        raise powerlaw.FitError(f"sample {tokens[bad[0]]!r} is not an integer below 2**53")
+        raise powerlaw.FitError(f"sample '{values[bad[0]]}' is not an integer below 2**53")
     curve = powerlaw.ccdf(values.astype(np.int64))
     write_csv(args.out, ("M", "survival"),
               zip(curve.thresholds.tolist(), curve.survival.tolist()))

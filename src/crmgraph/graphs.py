@@ -29,11 +29,11 @@ costs at least its hash.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
-from .fileio import read_csv, write_csv
+from .fileio import column, read_csv, write_csv
 from .measures import AtomicMeasure, ParameterError, check_integer
 from .rng import derive_key, pair_hashes, philox, row_keys
 
@@ -63,10 +63,9 @@ _LOG_PMF0_MIN = -600.0
 # far too narrow to cost a measurable share of the pairs.
 _ZERO_SLACK = 2.0**-30
 
-# Pairs that may be edges, drawn by _binomial_counts at once; also the
-# number of edges validated at once.  About a dozen arrays of this length
-# are live per draw, so generator memory follows this constant plus the
-# edges, not the number of atom pairs.
+# Pairs that may be edges, drawn by _binomial_counts at once.  About a dozen
+# arrays of this length are live per draw, so generator memory follows this
+# constant plus the edges, not the number of atom pairs.
 _PAIR_BLOCK = 1 << 16
 
 # Pairs hashed at once, in work buffers of this length (or a longer row's).
@@ -91,8 +90,8 @@ class MultiGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n_rounds", check_integer("n_rounds", self.n_rounds, 0, 2**63))
-        _check_edges(self.edge_counts, self.atom_count, self.edge_counts.values(),
-                     self.n_rounds)
+        counts = _int64_array(self.edge_counts.values(), len(self.edge_counts))
+        _check_pairs(_pair_array(self.edge_counts), self.atom_count, counts, self.n_rounds)
 
     def total_edges(self) -> int:
         """Number of distinct connected pairs."""
@@ -120,7 +119,7 @@ class BinaryGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "adjacency", frozenset(self.adjacency))
-        _check_edges(self.adjacency, self.atom_count)
+        _check_pairs(_pair_array(self.adjacency), self.atom_count)
 
 
 def _int64_array(values, count: int) -> np.ndarray:
@@ -141,19 +140,6 @@ def _check_draw_args(n_rounds: int, seed: int) -> tuple[int, int]:
     the type of every count and of the Philox fallback's binomial draw, and
     seeds in 64 unsigned bits, or derive_key would alias them to other seeds."""
     return check_integer("n_rounds", n_rounds, 0, 2**63), check_integer("seed", seed, 0, 2**64)
-
-
-def _check_edges(pairs, atom_count: int, counts=None, n_rounds=None) -> None:
-    """:func:`_check_pairs` over an edge container's pairs and, when given,
-    their counts (in the same order), ``_PAIR_BLOCK`` pairs at a time, so
-    the arrays it builds stay small."""
-    pair_iter = iter(pairs)
-    count_iter = None if counts is None else iter(counts)
-    for done in range(0, len(pairs), _PAIR_BLOCK):
-        m = min(_PAIR_BLOCK, len(pairs) - done)
-        block_counts = None if counts is None else _int64_array(islice(count_iter, m), m)
-        block = _int64_array(chain.from_iterable(islice(pair_iter, m)), 2 * m)
-        _check_pairs(block.reshape(-1, 2), atom_count, block_counts, n_rounds)
 
 
 def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None) -> None:
@@ -439,30 +425,19 @@ def write_edges_csv(graph: MultiGraph | BinaryGraph, path) -> None:
         write_csv(path, _BINARYGRAPH_HEADER, sorted(graph.adjacency))
 
 
-def _int_field(path, row: int, name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParameterError(f"{path}: data row {row} has {name} {text!r}, "
-                             f"expected an integer") from None
-
-
 def read_edges_csv(path) -> MultiGraph | BinaryGraph:
     """The graph an edge-list CSV's header names: a MultiGraph for
     ``i,j,count``, a BinaryGraph for ``i,j``.  No pair may repeat.  The atom
     count is one past the largest id and the round count the largest count,
     the smallest totals consistent with the data."""
-    first, rows = read_csv(path)
-    header = tuple(first)
-    if header not in (_MULTIGRAPH_HEADER, _BINARYGRAPH_HEADER):
-        raise ParameterError(f"{path}: unrecognized edge CSV header {','.join(header)!r}")
+    header, rows = read_csv(path, _MULTIGRAPH_HEADER, _BINARYGRAPH_HEADER)
+    i, j, *counts = (column(path, header, rows, name, int) for name in header)
     edges = {}
-    for k, row in enumerate(rows, 1):
-        i, j, *count = (_int_field(path, k, name, text) for name, text in zip(header, row))
-        if (i, j) in edges:
-            raise ParameterError(f"{path}: pair {(i, j)} appears on more than one row")
-        edges[i, j] = count[0] if count else None
-    atom_count = 1 + max((j for _, j in edges), default=-1)
+    for pair, count in zip(zip(i, j), counts[0] if counts else [None] * len(rows)):
+        if pair in edges:
+            raise ParameterError(f"{path}: pair {pair} appears on more than one row")
+        edges[pair] = count
+    atom_count = 1 + max(j, default=-1)
     if header == _BINARYGRAPH_HEADER:
         return BinaryGraph(frozenset(edges), atom_count)
-    return MultiGraph(max(edges.values(), default=0), atom_count, edges)
+    return MultiGraph(max(counts[0], default=0), atom_count, edges)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import read_csv, write_csv
+from .fileio import ParameterError, column, read_csv, write_csv
 from .rng import philox
 
 __all__ = [
@@ -43,10 +43,6 @@ MAX_MASS = 100.0
 _STICK_CHUNK = 128
 
 _MEASURE_HEADER = ("atom_id", "weight", "label")
-
-
-class ParameterError(ValueError):
-    """A parameter or argument is outside its supported domain."""
 
 
 def check_integer(name: str, value, lo: int, hi: int) -> int:
@@ -261,9 +257,9 @@ def write_measure_csv(measure: AtomicMeasure, path: str | Path) -> None:
 def read_measure_csv(path: str | Path) -> AtomicMeasure:
     """Read a measure written by :func:`write_measure_csv` (no provenance),
     whose atom ids, the graph vertices, run 0..k-1 in row order."""
-    _, rows = read_csv(path, _MEASURE_HEADER)
+    header, rows = read_csv(path, _MEASURE_HEADER)
     for k, row in enumerate(rows):
         if row[0] != str(k):
             raise ParameterError(f"{path}: data row {k + 1} has atom_id {row[0]!r}, expected {k}")
-    return AtomicMeasure(np.array([float(r[1]) for r in rows]),
-                         np.array([float(r[2]) for r in rows]))
+    return AtomicMeasure(*(np.array(column(path, header, rows, name, float))
+                           for name in ("weight", "label")))

@@ -114,6 +114,13 @@ class TestGraphCommand:
         code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
         assert code == 2 and "data row 1 has 2 fields, expected 3" in err and out == ""
 
+    def test_non_number_weight_exit_2(self, capsys, tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text("atom_id,weight,label\n0,x,0.1\n")
+        code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
+        assert code == 2 and out == ""
+        assert f"{weights}: data row 1 has weight 'x', expected a number" in err
+
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),
                              "--n", "5")
@@ -142,7 +149,14 @@ class TestStatsCommand:
         edges.write_text("x,y\n0,1\n")
         code, out, err = run_cli(capsys, "stats", str(edges))
         assert code == 2 and out == ""
-        assert f"{edges}: unrecognized edge CSV header 'x,y'" in err
+        assert f"{edges}: expected CSV header 'i,j,count' or 'i,j', got 'x,y'" in err
+
+    def test_header_checked_before_row_widths(self, capsys, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("a,b,c\n0,1\n")
+        code, out, err = run_cli(capsys, "stats", str(edges))
+        assert code == 2 and out == ""
+        assert f"{edges}: expected CSV header 'i,j,count' or 'i,j', got 'a,b,c'" in err
 
     @pytest.mark.parametrize("layout", [(), ("--long",)], ids=["wide", "long"])
     def test_binary_twin_gives_same_stats(self, capsys, measure_csv, tmp_path, layout):
@@ -159,12 +173,17 @@ class TestStatsCommand:
     @pytest.mark.parametrize("text,message", [
         ("i,j\n0,1\n0.0,2\n", "data row 2 has i '0.0', expected an integer"),
         ("i,j,count\n0,1,x\n", "data row 1 has count 'x', expected an integer"),
-    ], ids=["binary", "multigraph"])
+        ("i,j,count\n0,1,99999999999999999999\n",
+         "data row 1 has count '99999999999999999999', expected an integer in [-2**63, 2**63)"),
+        ("i,j\n0,9223372036854775808\n",
+         "data row 1 has j '9223372036854775808', expected an integer in [-2**63, 2**63)"),
+    ], ids=["binary", "multigraph", "count-over-int64", "id-over-int64"])
     def test_non_integer_field_exit_2(self, capsys, tmp_path, text, message):
         edges = tmp_path / "edges.csv"
         edges.write_text(text)
         code, out, err = run_cli(capsys, "stats", str(edges))
         assert code == 2 and f"{edges}: {message}" in err and out == ""
+        assert "Traceback" not in err
 
     def test_negative_round_count_exit_2(self, capsys, tmp_path):
         edges = tmp_path / "edges.csv"
@@ -323,6 +342,13 @@ class TestFitCommand:
         table = tmp_path / "t.csv"
         table.write_text("a,b\n1,2\n")
         assert run_cli(capsys, "fit", str(table), "--x", "V", "--y", "E")[0] == 2
+
+    def test_non_number_value_exit_2(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("V,E\n1,2\nx,4\n3,6\n")
+        code, out, err = run_cli(capsys, "fit", str(table), "--x", "V", "--y", "E")
+        assert code == 2 and out == ""
+        assert f"{table}: data row 2 has V 'x', expected a number" in err
 
 
 class TestCcdfCommand:

@@ -351,15 +351,12 @@ class TestHashFirst:
         ({(0, 1): 1, (0, 2): 1, (1, 2): 5, (0, 3): 6, (3, 1): 1}, "count 6 for pair (0, 3)"),
         ({(0, 1): 1, (0, 2): 1, (1, 2): 2**70, (2, 2): 1}, "outside the int64 range"),
     ])
-    def test_chunked_validation_names_first_offending_pair(self, monkeypatch, edges, message):
-        # two pairs per chunk: the first offender sits in the second chunk,
-        # the next one in the second or third
-        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 2)
+    def test_chunked_validation_names_first_offending_pair(self, edges, message):
+        # each case has a second offender after the first, which must be the one named
         with pytest.raises(ParameterError, match=re.escape(message)):
             MultiGraph(5, 4, edges)
 
-    def test_chunked_binary_validation(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_PAIR_BLOCK", 2)
+    def test_chunked_binary_validation(self):
         good = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
         BinaryGraph(frozenset(good), 4)
         with pytest.raises(ParameterError, match=re.escape("pair (2, 4) out of range")):
@@ -574,7 +571,12 @@ class TestEdgeCsv:
         ("i,j\n0,x\n", "data row 1 has j 'x', expected an integer"),
         ("i,j,count\n0,1,2\n1,2,x\n", "data row 2 has count 'x', expected an integer"),
         ("i,j,count\n0,1,\n", "data row 1 has count '', expected an integer"),
-    ], ids=["binary-float", "binary-word", "multigraph-word", "multigraph-empty"])
+        ("i,j,count\n0,1,99999999999999999999\n",
+         "data row 1 has count '99999999999999999999', expected an integer in [-2**63, 2**63)"),
+        ("i,j\n0,9223372036854775808\n",
+         "data row 1 has j '9223372036854775808', expected an integer in [-2**63, 2**63)"),
+    ], ids=["binary-float", "binary-word", "multigraph-word", "multigraph-empty",
+            "multigraph-count-over-int64", "binary-id-over-int64"])
     def test_non_integer_fields_rejected(self, tmp_path, text, message):
         path = tmp_path / "edges.csv"
         path.write_text(text)
@@ -583,8 +585,10 @@ class TestEdgeCsv:
 
     def test_bad_headers_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
-        for header, row in (("a,b", "0,1"), ("i,j,w", "0,1,2"), ("j,i", "0,1"), ("", "")):
+        # the header is checked before the widths of the rows under it
+        for header, row in (("a,b", "0,1"), ("i,j,w", "0,1,2"), ("j,i", "0,1"), ("", ""),
+                            ("a,b,c", "0,1")):
             path.write_text(f"{header}\n{row}\n" if header else "")
             with pytest.raises(ParameterError, match=re.escape(
-                    f"{path}: unrecognized edge CSV header {header!r}")):
+                    f"{path}: expected CSV header 'i,j,count' or 'i,j', got {header!r}")):
                 read_edges_csv(path)

@@ -248,6 +248,17 @@ class TestMeasureCsv:
                            match=f"data row {row} has {fields} fields, expected 3"):
             read_measure_csv(path)
 
+    @pytest.mark.parametrize("text,message", [
+        ("atom_id,weight,label\n0,x,0.1\n", "data row 1 has weight 'x', expected a number"),
+        ("atom_id,weight,label\n0,0.5,0.1\n1,0.25,\n",
+         "data row 2 has label '', expected a number"),
+    ], ids=["weight", "label"])
+    def test_non_number_field_rejected(self, tmp_path, text, message):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(f"{path}: {message}")):
+            read_measure_csv(path)
+
     def test_reordered_atom_ids_rejected(self, tmp_path):
         # an atom's id is its graph vertex, so a reordered file would relabel them
         path = tmp_path / "w.csv"
