@@ -157,11 +157,11 @@ def _cmd_fit(args) -> int:
 
 def _cmd_ccdf(args) -> int:
     if args.column is not None:
-        header, rows = read_csv(args.samples)
-        values = np.array(column(args.samples, header, rows, args.column, float))
-    else:
+        name, (header, rows) = args.column, read_csv(args.samples)
+    else:  # a plain file reads as a one-column table, one sample per token
         with nullcontext(sys.stdin) if args.samples == "-" else open(args.samples) as fh:
-            values = np.array(fh.read().split(), dtype=float)  # a non-number names itself
+            name, header, rows = "sample", ("sample",), [[t] for t in fh.read().split()]
+    values = np.array(column(args.samples, header, rows, name, float))
     bad = np.flatnonzero(~(np.abs(values) < 2**53) | (np.floor(values) != values))
     if bad.size:
         raise powerlaw.FitError(f"sample '{values[bad[0]]}' is not an integer below 2**53")

@@ -21,7 +21,7 @@ from pathlib import Path
 from .fileio import open_text_sink, write_csv
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
-                       check_integer, sample_three_param_bp)
+                       check_integer, check_real, sample_three_param_bp)
 from .powerlaw import PowerLawReport, classify, write_fits_csv, write_fits_json
 from .rng import derive_key
 from .stats import GraphStats, _hist_rows, summarize
@@ -69,16 +69,21 @@ class ExperimentConfig:
     replicas: int = 10  # measures drawn, in [1, 2**63)
     growth_mode: str = "coupled"
     seed: int = 0  # master seed, in [0, 2**64)
-    out_dir: str = "sweep-out"
+    out_dir: str = "sweep-out"  # a str or an os.PathLike, stored as a str
     fit_lower_q: float = 0.5
     fit_upper_q: float = 1.0
 
     def __post_init__(self):
-        # the process and stick parameters are checked by params() and sticks()
-        # below; a bad n_start fails here before it can bound n_stop
+        # each field's type is checked here, and the process and stick ranges by
+        # params() and sticks() below; a bad n_start fails before it bounds n_stop
+        for name in ("gamma", "theta", "alpha", "weight_floor", "fit_lower_q", "fit_upper_q"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         for name, lo, hi in (("n_start", 0, 2**63), ("n_stop", self.n_start, 2**63),
                              ("n_step", 1, 2**63), ("replicas", 1, 2**63), ("seed", 0, 2**64)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), lo, hi))
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ParameterError(f"out_dir must be a str or os.PathLike, got {self.out_dir!r}")
+        object.__setattr__(self, "out_dir", os.fspath(self.out_dir))
         points = (self.n_stop - self.n_start) // self.n_step + 1  # len(range()) overflows
         if points * self.replicas > _MAX_SNAPSHOTS:
             raise ParameterError(f"{points} grid points x {self.replicas} replicas exceed "
@@ -137,9 +142,7 @@ def worker_count(replicas: int) -> int:
             cap = int(env)
         except ValueError:
             raise ParameterError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-        if cap < 1:
-            raise ParameterError(f"{THREADS_ENV} must be >= 1, got {env}")
-        return min(cap, replicas)
+        return min(check_integer(THREADS_ENV, cap, 1, 2**63), replicas)
     return min(os.cpu_count() or 1, replicas)
 
 
@@ -244,19 +247,8 @@ def save_config(cfg: ExperimentConfig, path) -> None:
         fh.write("\n")
 
 
-def _config_value_ok(kind: str, value) -> bool:
-    """Whether a JSON value fits a config field annotated ``kind``."""
-    if isinstance(value, bool):
-        return False
-    if kind == "int":
-        return isinstance(value, int)
-    if kind == "float":
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, str)
-
-
 def load_config(path) -> ExperimentConfig:
-    """Read a config.json; unknown keys and ill-typed values are rejected."""
+    """Read a config.json, a JSON object of :class:`ExperimentConfig` fields."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -267,10 +259,6 @@ def load_config(path) -> ExperimentConfig:
     unknown = set(data) - {field.name for field in fields(ExperimentConfig)}
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    for field in fields(ExperimentConfig):
-        if field.name in data and not _config_value_ok(field.type, data[field.name]):
-            raise ParameterError(
-                f"config key {field.name!r} must be {field.type}, got {data[field.name]!r}")
     return ExperimentConfig(**data)
 
 

@@ -24,6 +24,7 @@ from .rng import philox
 __all__ = [
     "ParameterError",
     "check_integer",
+    "check_real",
     "BetaProcessParams",
     "StickBreakingConfig",
     "AtomicMeasure",
@@ -57,6 +58,17 @@ def check_integer(name: str, value, lo: int, hi: int) -> int:
     return int(number)
 
 
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number, else a ParameterError
+    naming ``name`` and the value.  Ints and numpy scalars are real; bools are not."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int past the float range
+        pass
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BetaProcessParams:
     """Parameters of a (three-parameter) beta process.
@@ -77,11 +89,13 @@ class BetaProcessParams:
     mass: float
 
     def __post_init__(self):
-        if not math.isfinite(self.concentration) or self.concentration <= 0.0:
+        for name in ("concentration", "discount", "mass"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        if self.concentration <= 0.0:
             raise ParameterError(f"concentration must be > 0, got {self.concentration}")
         if not 0.0 <= self.discount < 1.0:
             raise ParameterError(f"discount must be in [0, 1), got {self.discount}")
-        if not math.isfinite(self.mass) or self.mass <= 0.0:
+        if self.mass <= 0.0:
             raise ParameterError(f"mass must be > 0, got {self.mass}")
         if self.mass > MAX_MASS:
             raise ParameterError(f"mass {self.mass} exceeds supported maximum {MAX_MASS}")
@@ -107,6 +121,7 @@ class StickBreakingConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "rounds", check_integer("rounds", self.rounds, 1, 2**63))
+        object.__setattr__(self, "weight_floor", check_real("weight_floor", self.weight_floor))
         if not 0.0 <= self.weight_floor < 1.0:
             raise ParameterError(f"weight_floor must be in [0, 1), got {self.weight_floor}")
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0, 2**64))
@@ -135,10 +150,14 @@ class AtomicMeasure:
         object.__setattr__(self, "labels", labels)
         if weights.shape != labels.shape or weights.ndim != 1:
             raise ParameterError("weights and labels must be 1-d arrays of equal length")
-        if weights.size and not ((weights > 0.0) & (weights < 1.0)).all():
-            raise ParameterError("every weight must lie strictly in (0, 1)")
-        if np.unique(labels).size != labels.size:
-            raise ParameterError("labels must be pairwise distinct")
+        inside = (weights > 0.0) & (weights < 1.0)
+        if not inside.all():
+            k = np.flatnonzero(~inside)[0]
+            raise ParameterError(f"weight {weights[k]} of atom {k} is not in (0, 1)")
+        if np.unique(labels).size != labels.size:  # name the first repeat
+            _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+            k = np.flatnonzero(first[inverse] != np.arange(labels.size))[0]
+            raise ParameterError(f"atoms {first[inverse[k]]} and {k} share label {labels[k]}")
 
     def __len__(self) -> int:
         return int(self.weights.size)

@@ -173,6 +173,8 @@ def _sweep_fit(rows, y_of, lower_q, upper_q):
     ys = np.array([y_of(snap) for _, _, snap in rows], float)
     keep = (xs > 0) & (ys > 0)
     dropped = len(rows) - int(keep.sum())
+    if dropped == len(rows):
+        return None, f"dropped all {dropped} zero-valued snapshots"
     try:
         fit = fit_loglog(xs[keep], ys[keep], lower_q, upper_q)
     except FitError as exc:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -120,6 +121,17 @@ class TestGraphCommand:
         code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
         assert code == 2 and out == ""
         assert f"{weights}: data row 1 has weight 'x', expected a number" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0.5,0.2\n1,1.5,0.3\n", "weight 1.5 of atom 1 is not in (0, 1)"),
+        ("0,0.5,0.2\n1,nan,0.3\n", "weight nan of atom 1 is not in (0, 1)"),
+        ("0,0.5,0.1\n1,0.25,0.1\n", "atoms 0 and 1 share label 0.1"),
+    ], ids=["weight", "nan", "label"])
+    def test_bad_atom_named_exit_2(self, capsys, tmp_path, rows, message):
+        weights = tmp_path / "w.csv"
+        weights.write_text("atom_id,weight,label\n" + rows)
+        code, out, err = run_cli(capsys, "graph", "--weights", str(weights), "--n", "5")
+        assert code == 2 and message in err and out == ""
 
     def test_missing_weights_file(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "graph", "--weights", str(tmp_path / "no.csv"),
@@ -245,6 +257,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("key, value", [
         ("replicas", "10"), ("n_step", "5"), ("gamma", "3"), ("seed", -1),
         ("replicas", True), ("fit_lower_q", 1.5),
+        ("out_dir", 5), ("theta", None), ("alpha", "0.1"), ("growth_mode", 3),
     ])
     def test_malformed_config_value_exit_1(self, capsys, tmp_path, key, value):
         cfg_path = tmp_path / "cfg.json"
@@ -386,6 +399,23 @@ class TestCcdfCommand:
         code, out, _ = run_cli(capsys, "ccdf", str(path), *extra)
         assert code == 0
         assert out.splitlines() == ["M,survival", "0,1.0", "1,0.75", "2,0.25"]
+
+    def test_non_number_sample_names_file_and_row(self, capsys, tmp_path):
+        samples = tmp_path / "p.txt"
+        samples.write_text("1\nx\n3\n")
+        code, out, err = run_cli(capsys, "ccdf", str(samples))
+        assert code == 2 and out == ""
+        assert f"{samples}: data row 2 has sample 'x', expected a number" in err
+
+    def test_stdin_samples(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n2\n3\n"))
+        code, out, _ = run_cli(capsys, "ccdf", "-")
+        assert code == 0
+        assert out.splitlines() == ["M,survival", "0,1.0", "1,0.75", "2,0.25"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1\nx\n3\n"))
+        code, out, err = run_cli(capsys, "ccdf", "-")
+        assert code == 2 and out == ""
+        assert "-: data row 2 has sample 'x', expected a number" in err
 
     def test_all_zero_exit_2(self, capsys, tmp_path):
         samples = tmp_path / "z.txt"

@@ -1,6 +1,8 @@
 import json
 import os
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,12 +58,100 @@ class TestConfig:
         assert len(cfg.n_grid()) * cfg.replicas == 10**6
 
     def test_integral_values_saved_as_ints(self, tmp_path):
-        # config.json must hold ints, or load_config would reject the file
+        # every int field stores check_integer's int, so config.json holds ints
         path = tmp_path / "config.json"
         cfg = ExperimentConfig(rounds=100.0, n_step=np.int64(50), seed=np.uint64(2**64 - 1))
         save_config(cfg, path)
         assert load_config(path) == cfg == ExperimentConfig(rounds=100, n_step=50,
                                                             seed=2**64 - 1)
+
+    @pytest.mark.parametrize("overrides, name", [
+        (dict(gamma=True), "gamma"), (dict(gamma="3"), "gamma"),
+        (dict(theta=None), "theta"), (dict(alpha=np.nan), "alpha"),
+        (dict(weight_floor=10**400), "weight_floor"), (dict(fit_lower_q="a"), "fit_lower_q"),
+        (dict(fit_upper_q=np.inf), "fit_upper_q"), (dict(out_dir=5), "out_dir"),
+        (dict(out_dir=None), "out_dir"),
+    ])
+    def test_ill_typed_value_names_field(self, overrides, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a"):
+            ExperimentConfig(**overrides)
+
+    def test_values_stored_as_their_field_type(self, tmp_path):
+        cfg = ExperimentConfig(gamma=3, theta=np.int64(1), alpha=np.float32(0.5),
+                               weight_floor=0, fit_lower_q=0, fit_upper_q=1,
+                               replicas=5.0, out_dir=tmp_path / "out")
+        assert cfg == replace(ExperimentConfig(), alpha=0.5, weight_floor=0.0, fit_lower_q=0.0,
+                              replicas=5, out_dir=str(tmp_path / "out"))
+        assert all(type(getattr(cfg, field.name)).__name__ == field.type
+                   for field in fields(ExperimentConfig))
+        path = tmp_path / "config.json"
+        save_config(cfg, path)
+        data = json.loads(path.read_text())
+        assert data["theta"] == 1.0 and type(data["theta"]) is float
+        assert data["out_dir"] == str(tmp_path / "out")
+
+    def test_integral_float_in_json_loads_as_int(self, tmp_path):
+        path = tmp_path / "config.json"
+        save_config(small_config(tmp_path), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "replicas": 5.0,
+                                    "theta": 1}))
+        cfg = load_config(path)
+        assert cfg == small_config(tmp_path, replicas=5)
+        assert type(cfg.replicas) is int and type(cfg.theta) is float
+
+    def test_valid_configs_round_trip(self, tmp_path):
+        # built and saved only; nothing is sampled
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def real(values):
+            # a float, or the same value as an int or a numpy scalar
+            return values.flatmap(lambda x: st.sampled_from(
+                [x, np.float64(x), np.float32(x)] + ([int(x)] if x.is_integer() else [])))
+
+        def integer(values):
+            # an int, or the same value as an integral float or a numpy integer
+            return values.flatmap(lambda k: st.sampled_from(
+                [k, np.uint64(k)] + ([np.int64(k)] if k < 2**63 else [])
+                + ([float(k)] if k < 2**53 else [])))
+
+        @st.composite
+        def configs(draw):
+            n_start = draw(st.integers(0, 2**62))
+            lower_q, upper_q = sorted(draw(st.lists(st.integers(0, 100), min_size=2,
+                                                    max_size=2, unique=True)))
+            return dict(
+                gamma=draw(real(st.floats(0.01, 100.0))),
+                theta=draw(real(st.floats(0.01, 1e6))),
+                alpha=draw(real(st.integers(0, 99).map(lambda k: k / 100))),
+                rounds=draw(integer(st.integers(1, 2**63 - 1))),
+                weight_floor=draw(real(st.floats(0.0, 0.5))),
+                n_start=draw(integer(st.just(n_start))),
+                n_stop=draw(integer(st.integers(n_start, n_start + 9999))),
+                n_step=draw(integer(st.integers(1, 2**63 - 1))),
+                replicas=draw(integer(st.integers(1, 100))),
+                growth_mode=draw(st.sampled_from(experiment.GROWTH_MODES)),
+                seed=draw(integer(st.integers(0, 2**64 - 1))),
+                out_dir=draw(st.text(st.characters(exclude_categories=("Cs",)), min_size=1,
+                                     max_size=20).flatmap(lambda t: st.sampled_from([t, Path(t)]))),
+                fit_lower_q=draw(real(st.just(lower_q / 100))),
+                fit_upper_q=draw(real(st.just(upper_q / 100))),
+            )
+
+        path = tmp_path / "config.json"
+
+        @hypothesis.settings(max_examples=100, deadline=None)
+        @hypothesis.given(configs())
+        def check(values):
+            cfg = ExperimentConfig(**values)
+            save_config(cfg, path)
+            first = path.read_bytes()
+            again = load_config(path)
+            assert again == cfg
+            save_config(again, path)
+            assert path.read_bytes() == first
+
+        check()
 
     def test_profiles(self):
         assert DESK_PROFILE.rounds == 1000
@@ -118,6 +208,13 @@ class TestWorkerCount:
     def test_default_without_env(self, monkeypatch):
         monkeypatch.delenv(experiment.THREADS_ENV, raising=False)
         assert 1 <= worker_count(4) <= 4
+
+    @pytest.mark.parametrize("value", ["0", "-3", str(2**63)])
+    def test_cap_out_of_range_names_variable(self, monkeypatch, value):
+        monkeypatch.setenv(experiment.THREADS_ENV, value)
+        message = f"{experiment.THREADS_ENV} must be in [1, 2**63) and an integer, got {value}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            worker_count(2)
 
     def test_invalid_env(self, monkeypatch):
         monkeypatch.setenv(experiment.THREADS_ENV, "0")
@@ -246,6 +343,14 @@ class TestRunSweep:
         monkeypatch.setattr(experiment, "_replica_rows", flaky)
         with pytest.raises(ExperimentError, match="replica 1"):
             run_sweep(small_config(tmp_path, replicas=3))
+
+    def test_path_out_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        out = tmp_path / "as-path"
+        result = run_sweep(small_config(tmp_path, out_dir=out))
+        assert result.config.out_dir == str(out)
+        assert json.loads((out / "config.json").read_text())["out_dir"] == str(out)
+        assert (out / "fits.json").exists()
 
     def test_unwritable_output_fails_before_sampling(self, tmp_path, monkeypatch):
         blocker = tmp_path / "not-a-dir"

@@ -6,7 +6,7 @@ import pytest
 from scipy import integrate, stats as st
 
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
-                               StickBreakingConfig, _round_atoms, check_integer,
+                               StickBreakingConfig, _round_atoms, check_integer, check_real,
                                rate_density, read_measure_csv, sample_three_param_bp,
                                write_measure_csv)
 
@@ -56,6 +56,40 @@ class TestParameterValidation:
     def test_check_integer_returns_python_int(self, value):
         number = check_integer("seed", value, 0, 2**64)
         assert type(number) is int and number == value
+
+    @pytest.mark.parametrize("value", [True, np.True_, math.nan, math.inf, -math.inf, "3",
+                                       None, 10**400, np.float64("nan"), np.array(2.0)])
+    def test_check_real_names_field_and_value(self, value):
+        message = f"gamma must be a finite number, got {value!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            check_real("gamma", value)
+
+    @pytest.mark.parametrize("value", [3, -2, 2.5, np.float32(0.5), np.int64(7), np.uint64(9),
+                                       np.float64(1e-10), 2**64])
+    def test_check_real_returns_python_float(self, value):
+        number = check_real("gamma", value)
+        assert type(number) is float and number == value
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(concentration=1.0, discount=0.1, mass=True), "mass"),
+        (dict(concentration="1", discount=0.1, mass=3.0), "concentration"),
+        (dict(concentration=1.0, discount=None, mass=3.0), "discount"),
+        (dict(concentration=math.nan, discount=0.1, mass=3.0), "concentration"),
+    ])
+    def test_ill_typed_params_name_field(self, kwargs, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a finite number"):
+            BetaProcessParams(**kwargs)
+
+    @pytest.mark.parametrize("floor", [None, "0", True, math.nan])
+    def test_ill_typed_floor_named(self, floor):
+        with pytest.raises(ParameterError, match="^weight_floor must be a finite number"):
+            StickBreakingConfig(rounds=5, weight_floor=floor)
+
+    def test_real_fields_stored_as_floats(self):
+        params = BetaProcessParams(concentration=np.int64(1), discount=0, mass=np.float32(3))
+        floor = StickBreakingConfig(rounds=5, weight_floor=0).weight_floor
+        assert params == BetaProcessParams(1.0, 0.0, 3.0)
+        assert {type(v) for v in (*vars(params).values(), floor)} == {float}
 
     @pytest.mark.parametrize("rounds, seed", [(5.0, np.uint64(2**64 - 1)),
                                               (np.int64(5), 2**64 - 1)])
@@ -199,6 +233,20 @@ class TestAtomicMeasure:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ParameterError):
             AtomicMeasure(np.array([0.2, 0.3]), np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 1.5], "weight 1.5 of atom 1 is not in (0, 1)"),
+        ([0.5, 0.25, math.nan, 0.0], "weight nan of atom 2 is not in (0, 1)"),
+        ([0.0], "weight 0.0 of atom 0 is not in (0, 1)"),
+    ])
+    def test_bad_weight_names_first_atom(self, weights, message):
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            AtomicMeasure(np.array(weights), np.arange(len(weights)) / 8)
+
+    def test_shared_label_names_first_repeat(self):
+        # atom 2 is the first to repeat a label (atom 0's), before atom 3 repeats atom 1's
+        with pytest.raises(ParameterError, match=re.escape("atoms 0 and 2 share label 0.7")):
+            AtomicMeasure(np.full(4, 0.5), np.array([0.7, 0.1, 0.7, 0.1]))
 
     def test_arrays_are_immutable(self):
         m = AtomicMeasure(np.array([0.2, 0.3]), np.array([0.6, 0.7]))

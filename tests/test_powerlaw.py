@@ -236,6 +236,18 @@ class TestClassify:
         assert report.fits["I"] is not None
         assert "dropped 1" in report.notes["I"]
 
+    def test_all_zero_rows_named_in_note(self):
+        # no vertex lies in exactly one triangle, so IIb has no row to fit
+        rows = [(0, n, snapshot(n, v, 2 * v, {1: v}, {0: v}))
+                for n, v in enumerate(range(10, 130, 10), start=1)]
+        report = classify(rows)
+        assert report.fits["I"] is not None and report.fits["IIb"] is None
+        assert report.notes["IIb"] == "dropped all 12 zero-valued snapshots"
+        empty = classify([(3, n, snapshot(n, 0, 0)) for n in range(12)])
+        for label in ("I", "IIa", "IIb", "I_replica3"):
+            assert empty.fits[label] is None
+            assert empty.notes[label] == "dropped all 12 zero-valued snapshots"
+
     def test_accepts_object_with_rows_attribute(self):
         class Holder:
             rows = [(0, n, snapshot(n, v, v * v, {2 * v: v}, {0: v}))
