@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-
-import numpy as np
+from dataclasses import replace
 
 from . import experiment, graphs, measures, powerlaw, stats
 from .fileio import column, read_csv, write_csv
@@ -90,11 +89,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_measure(args) -> int:
-    params = measures.BetaProcessParams(concentration=args.theta, discount=args.alpha,
-                                        mass=args.gamma)
-    cfg = measures.StickBreakingConfig(rounds=args.rounds, weight_floor=args.floor,
-                                       seed=args.seed)
-    measures.write_measure_csv(measures.sample_three_param_bp(params, cfg), args.out)
+    # the flags are config fields, checked and mapped to the process by the config
+    cfg = replace(experiment.DESK_PROFILE, gamma=args.gamma, theta=args.theta,
+                  alpha=args.alpha, rounds=args.rounds, weight_floor=args.floor)
+    measure = measures.sample_three_param_bp(cfg.params(), cfg.sticks(args.seed))
+    measures.write_measure_csv(measure, args.out)
     return 0
 
 
@@ -118,8 +117,6 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
-
     if args.config is not None:
         try:
             cfg = experiment.load_config(args.config)
@@ -161,11 +158,7 @@ def _cmd_ccdf(args) -> int:
     else:  # a plain file reads as a one-column table, one sample per token
         with nullcontext(sys.stdin) if args.samples == "-" else open(args.samples) as fh:
             name, header, rows = "sample", ("sample",), [[t] for t in fh.read().split()]
-    values = np.array(column(args.samples, header, rows, name, float))
-    bad = np.flatnonzero(~(np.abs(values) < 2**53) | (np.floor(values) != values))
-    if bad.size:
-        raise powerlaw.FitError(f"sample '{values[bad[0]]}' is not an integer below 2**53")
-    curve = powerlaw.ccdf(values.astype(np.int64))
+    curve = powerlaw.ccdf(column(args.samples, header, rows, name, float))
     write_csv(args.out, ("M", "survival"),
               zip(curve.thresholds.tolist(), curve.survival.tolist()))
     return 0

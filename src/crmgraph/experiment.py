@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .fileio import open_text_sink, write_csv
+from .fileio import open_text_sink, write_csv, write_json
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
                        check_integer, check_real, sample_three_param_bp)
@@ -48,6 +48,10 @@ GROWTH_MODES = ("coupled", "independent")
 # profile: every worker builds the whole grid and the pool holds a future per
 # replica, so a larger sweep fails at construction, not out of memory.
 _MAX_SNAPSHOTS = 10**6
+
+
+# The config key of each BetaProcessParams field.
+_CONFIG_KEYS = {"concentration": "theta", "discount": "alpha", "mass": "gamma"}
 
 
 class ExperimentError(RuntimeError):
@@ -89,7 +93,8 @@ class ExperimentConfig:
             raise ParameterError(f"{points} grid points x {self.replicas} replicas exceed "
                                  f"the {_MAX_SNAPSHOTS} snapshots a sweep may take")
         if self.growth_mode not in GROWTH_MODES:
-            raise ParameterError(f"growth_mode must be one of {GROWTH_MODES}")
+            raise ParameterError(f"growth_mode must be one of {GROWTH_MODES}, "
+                                 f"got {self.growth_mode!r}")
         if not 0 <= self.fit_lower_q < self.fit_upper_q <= 1:
             raise ParameterError(
                 f"need 0 <= fit_lower_q < fit_upper_q <= 1, got fit_lower_q "
@@ -98,8 +103,14 @@ class ExperimentConfig:
         object.__setattr__(self, "rounds", self.sticks(0).rounds)  # checks rounds/weight_floor
 
     def params(self) -> BetaProcessParams:
-        return BetaProcessParams(concentration=self.theta, discount=self.alpha,
-                                 mass=self.gamma)
+        """The process, whose range errors name the config key (gamma, theta
+        or alpha) rather than the process field."""
+        try:
+            return BetaProcessParams(concentration=self.theta, discount=self.alpha,
+                                     mass=self.gamma)
+        except ParameterError as exc:
+            field, rest = str(exc).split(" ", 1)
+            raise ParameterError(f"{_CONFIG_KEYS[field]} {rest}") from None
 
     def sticks(self, seed: int) -> StickBreakingConfig:
         return StickBreakingConfig(rounds=self.rounds, weight_floor=self.weight_floor,
@@ -242,9 +253,7 @@ def _write_hist_csv(rows, path) -> None:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     """Write config.json in the field order of :class:`ExperimentConfig`."""
-    with open_text_sink(path) as fh:
-        json.dump(asdict(cfg), fh, indent=2)
-        fh.write("\n")
+    write_json(path, asdict(cfg))
 
 
 def load_config(path) -> ExperimentConfig:

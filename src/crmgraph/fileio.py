@@ -1,7 +1,9 @@
-"""Text sinks and the one CSV dialect every table is written in.
+"""Text sinks, the one CSV dialect every table is written in, and the one
+JSON dialect.
 
 Every table the package writes goes through :func:`write_csv` (comma
-separated, minimal quoting, ``\\n`` line endings).  Every table it reads goes
+separated, minimal quoting, ``\\n`` line endings), and every JSON file
+through :func:`write_json`.  Every table it reads goes
 through :func:`read_csv`, which checks the header first, and every field
 through :func:`column`, whose errors name the file, data row and column.
 """
@@ -9,6 +11,7 @@ through :func:`column`, whose errors name the file, data row and column.
 from __future__ import annotations
 
 import csv
+import json
 import sys
 from contextlib import contextmanager
 
@@ -33,6 +36,13 @@ def write_csv(target, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(target, obj) -> None:
+    """Write ``obj`` as JSON indented by 2, then a newline, to a path or "-"."""
+    with open_text_sink(target) as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def read_csv(path, *headers) -> tuple[tuple[str, ...], list[list[str]]]:

@@ -12,12 +12,12 @@ to an x-quantile window.
 
 from __future__ import annotations
 
-import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import open_text_sink, write_csv
+from .fileio import write_csv, write_json
 
 __all__ = [
     "FitError",
@@ -40,6 +40,9 @@ DEFAULT_UPPER_Q = 1.0
 # Type III: the fit targets the lower thresholds of the survival curve.
 DEFAULT_TAIL_LOWER_Q = 0.0
 DEFAULT_TAIL_UPPER_Q = 0.8
+# Most thresholds a survival curve may take: its arrays hold one int64 per
+# threshold, so a larger sample fails at once rather than out of memory.
+_MAX_THRESHOLDS = 10**7
 
 
 class FitError(ValueError):
@@ -141,25 +144,36 @@ def fit_loglog(xs, ys, lower_q: float = DEFAULT_LOWER_Q,
 
 
 def ccdf(samples) -> CcdfCurve:
-    """Empirical survival curve of nonnegative integer samples.
+    """Empirical survival curve of integer samples.
 
     ``survival[M] = #(samples > M) / #samples`` for every integer threshold
-    from 0 to max(samples) - 1.
+    from 0 to max(samples) - 1.  ``samples`` must be a 1-d array of ints or
+    integral floats in [0, 2**53), none above 10**7; a ``FitError`` names the
+    first that is not.
     """
-    samples = np.asarray(samples, dtype=np.int64)
-    if np.any(samples < 0):
-        raise FitError("samples must be nonnegative integers")
-    return _survival(np.bincount(samples))
+    return _survival(samples)
 
 
-def _survival(counts: np.ndarray) -> CcdfCurve:
-    """The curve of :func:`ccdf` from ``counts[v]`` = #(samples == v)."""
-    nonzero = np.flatnonzero(counts)
+def _survival(values, counts=None) -> CcdfCurve:
+    """The curve of :func:`ccdf` over ``values``, each taken ``counts[k]``
+    times if given (once otherwise)."""
+    samples = np.asarray(values, dtype=object)  # keeps bools and strings apart from numbers
+    if samples.ndim != 1:
+        raise FitError(f"samples must be a 1-d array, got shape {samples.shape}")
+    for value in samples:
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not 0 <= value < 2**53 or value != int(value)):
+            raise FitError(f"sample '{value}' is not an integer in [0, 2**53)")
+        if value > _MAX_THRESHOLDS:
+            raise FitError(f"sample '{value}' would give a survival curve of more than "
+                           f"{_MAX_THRESHOLDS} thresholds")
+    tallies = np.bincount(samples.astype(np.int64), weights=counts).astype(np.int64)
+    nonzero = np.flatnonzero(tallies)
     if nonzero.size == 0:
         raise FitError("ccdf needs at least one sample")
     if nonzero[-1] == 0:
         raise FitError("ccdf needs at least one positive sample")
-    at_most = np.cumsum(counts)  # at_most[M] = #(samples <= M)
+    at_most = np.cumsum(tallies)  # at_most[M] = #(samples <= M)
     thresholds = np.arange(nonzero[-1])
     return CcdfCurve(thresholds, 1.0 - at_most[thresholds] / at_most[-1])
 
@@ -184,12 +198,10 @@ def _sweep_fit(rows, y_of, lower_q, upper_q):
 
 def _tail_fit(hists, tail_lower_q, tail_upper_q):
     """Survival-curve fit pooled over the histograms of one snapshot N, and its note."""
-    values = np.fromiter((v for hist in hists for v in hist), np.int64)
-    counts = np.fromiter((c for hist in hists for c in hist.values()), np.int64)
+    values = [v for hist in hists for v in hist]
+    counts = [c for hist in hists for c in hist.values()]
     try:
-        if np.any(values < 0):
-            raise FitError("samples must be nonnegative integers")
-        curve = _survival(np.bincount(values, weights=counts).astype(np.int64))
+        curve = _survival(values, counts)
         keep = (curve.thresholds >= 1) & (curve.survival > 0.0)
         fit = fit_loglog(curve.thresholds[keep].astype(float), curve.survival[keep],
                          tail_lower_q, tail_upper_q)
@@ -273,6 +285,4 @@ def write_fits_csv(fits: dict[str, LogLogFit | None], path) -> None:
 
 def write_fits_json(fits: dict[str, LogLogFit | None], path) -> None:
     """JSON mirror of :func:`write_fits_csv` with identical values."""
-    with open_text_sink(path) as fh:
-        json.dump(list(_fit_rows(fits)), fh, indent=2)
-        fh.write("\n")
+    write_json(path, list(_fit_rows(fits)))

@@ -11,6 +11,8 @@ import pytest
 from crmgraph import experiment
 from crmgraph.cli import cli_dispatch
 from crmgraph.experiment import DESK_PROFILE, PAPER_PROFILE, ExperimentConfig, save_config
+from crmgraph.measures import (BetaProcessParams, StickBreakingConfig, sample_three_param_bp,
+                               write_measure_csv)
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +63,23 @@ class TestMeasureCommand:
     def test_bad_parameter_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--alpha", "1.5")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--gamma", "nan", "gamma must be a finite number, got nan"),
+        ("--theta", "0", "theta must be > 0, got 0.0"),
+        ("--alpha", "1.0", "alpha must be in [0, 1), got 1.0"),
+        ("--gamma", "150", "gamma 150.0 exceeds supported maximum 100.0"),
+    ])
+    def test_flags_checked_as_config_fields(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "measure", flag, value)
+        assert code == 2 and out == "" and message in err
+
+    def test_flags_map_to_the_process_fields(self, capsys, tmp_path):
+        expected = tmp_path / "expected.csv"
+        write_measure_csv(sample_three_param_bp(BetaProcessParams(1.0, 0.1, 3.0),
+                                                StickBreakingConfig(60, seed=3)), expected)
+        code, out, _ = run_cli(capsys, "measure", "--rounds", "60", "--seed", "3")
+        assert code == 0 and out == expected.read_text()
 
 
 class TestGraphCommand:
@@ -270,6 +289,20 @@ class TestSweepCommand:
         assert key in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("theta", 0, "theta must be > 0, got 0.0"),
+        ("alpha", 1.0, "alpha must be in [0, 1), got 1.0"),
+        ("gamma", 150, "gamma 150.0 exceeds supported maximum 100.0"),
+        ("growth_mode", 3, "growth_mode must be one of ('coupled', 'independent'), got 3"),
+    ])
+    def test_config_range_error_names_the_key_exit_1(self, capsys, tmp_path, key, value,
+                                                      message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value, "out_dir": str(tmp_path / "out")}))
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+        assert code == 1 and f"{cfg_path}: {message}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ['{"gamma": ', '[1, 2]'])
     def test_unreadable_config_exit_1(self, capsys, tmp_path, text):
         cfg_path = tmp_path / "cfg.json"
@@ -416,6 +449,14 @@ class TestCcdfCommand:
         code, out, err = run_cli(capsys, "ccdf", "-")
         assert code == 2 and out == ""
         assert "-: data row 2 has sample 'x', expected a number" in err
+
+    @pytest.mark.parametrize("text,named", [("1\n-2\n", "sample '-2.0'"),
+                                            ("1\n1e12\n", "10000000 thresholds")])
+    def test_sample_outside_the_library_rule_exit_2(self, capsys, tmp_path, text, named):
+        samples = tmp_path / "s.txt"
+        samples.write_text(text)
+        code, out, err = run_cli(capsys, "ccdf", str(samples))
+        assert code == 2 and out == "" and named in err
 
     def test_all_zero_exit_2(self, capsys, tmp_path):
         samples = tmp_path / "z.txt"

@@ -1,9 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from crmgraph import powerlaw
 from crmgraph.powerlaw import (CcdfCurve, FitError, ccdf, classify, fit_loglog,
                                write_fits_csv, write_fits_json)
 from crmgraph.stats import GraphStats
@@ -135,6 +137,46 @@ class TestCcdf:
             ccdf([0, 0, 0])
         with pytest.raises(FitError):
             ccdf([1, -2])
+
+    @pytest.mark.parametrize("samples,named", [
+        ([1, 2.7, 3], "sample '2.7'"), ([float("nan")], "sample 'nan'"),
+        ([float("inf")], "sample 'inf'"), ([1e30], "sample '1e+30'"),
+        ([1, -2], "sample '-2'"), (["3", 2], "sample '3'"), ([True, 2], "sample 'True'"),
+        ([2**53], f"sample '{2**53}'"), (np.ones((2, 2)), "shape (2, 2)"),
+    ])
+    def test_sample_that_is_not_an_integer_is_named(self, samples, named):
+        with pytest.raises(FitError) as info:
+            ccdf(samples)
+        assert named in str(info.value)
+
+    def test_curve_longer_than_threshold_limit_rejected_before_allocating(self, monkeypatch):
+        # 10**12 thresholds would take 8 TB; the rule fails without allocating
+        with pytest.raises(FitError, match=r"sample '1000000000000' .* 10000000 thresholds"):
+            ccdf([1, 10**12])
+        monkeypatch.setattr(powerlaw, "_MAX_THRESHOLDS", 3)
+        assert ccdf([3.0]).thresholds.tolist() == [0, 1, 2]
+        with pytest.raises(FitError, match="sample '4' .* 3 thresholds"):
+            ccdf([3, 4])
+
+    def test_integral_floats_give_the_curve_of_the_ints(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.lists(st.integers(0, 500), min_size=1, max_size=50))
+        def check(ints):
+            try:
+                expected = ccdf(ints)
+            except FitError as exc:
+                with pytest.raises(FitError, match=re.escape(str(exc))):
+                    ccdf([float(v) for v in ints])
+                return
+            for floats in ([float(v) for v in ints], np.array(ints, dtype=float)):
+                curve = ccdf(floats)
+                assert curve.thresholds.tolist() == expected.thresholds.tolist()
+                assert curve.survival.tolist() == expected.survival.tolist()
+
+        check()
 
     def test_monotone_on_random_input(self):
         rng = np.random.default_rng(11)
