@@ -28,6 +28,7 @@ costs at least its hash.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -76,22 +77,79 @@ _MULTIGRAPH_HEADER = ("i", "j", "count")
 _BINARYGRAPH_HEADER = ("i", "j")
 
 
+class _SortedPairs:
+    """Read-only access to sorted COO pairs: ``pairs`` is a C-ordered (2, E)
+    int64 array whose columns (i, j), i < j, ascend in (i, j), the order of
+    the key ``i * atom_count + j``.  Iteration yields (i, j) tuples of ints,
+    and a lookup is a binary search, so a view holds nothing beyond its
+    arrays.  A view handed to a graph constructor may be in any order; the
+    graph keeps a sorted one."""
+
+    def __init__(self, pairs: np.ndarray):
+        self.pairs = pairs
+
+    def __len__(self) -> int:
+        return self.pairs.shape[1]
+
+    def __iter__(self):
+        return zip(*self.pairs.tolist())
+
+    def _find(self, pair) -> int:
+        """The column of ``pair``, or -1."""
+        i, j = self.pairs
+        a, b = pair
+        lo, hi = i.searchsorted(a), i.searchsorted(a, side="right")
+        at = lo + j[lo:hi].searchsorted(b)
+        return int(at) if at < hi and j[at] == b else -1
+
+
+class EdgeSet(_SortedPairs, Set):
+    """The (i, j) pairs of a binary graph, as a read-only set."""
+
+    def __contains__(self, pair) -> bool:
+        return self._find(pair) >= 0
+
+
+class EdgeCounts(_SortedPairs, Mapping):
+    """The {(i, j): count} of a multigraph, as a read-only mapping over its
+    pairs and the parallel int64 ``counts``."""
+
+    def __init__(self, pairs: np.ndarray, counts: np.ndarray):
+        super().__init__(pairs)
+        self.counts = counts
+
+    def __getitem__(self, pair) -> int:
+        at = self._find(pair)
+        if at < 0:
+            raise KeyError(pair)
+        return int(self.counts[at])
+
+    def items(self):
+        """The (pair, count) items in pair order, in one pass over the arrays."""
+        return zip(self, self.counts.tolist())
+
+
 @dataclass(frozen=True)
 class MultiGraph:
     """Accumulated edge counts over ``n_rounds`` Bernoulli rounds.
 
-    ``edge_counts`` maps each connected unordered pair (i, j), i < j, to its
-    positive count; absent pairs have count zero.
+    ``edge_counts`` holds each connected unordered pair (i, j), i < j, with
+    its positive count; absent pairs have count zero.  The constructor also
+    takes a {pair: count} mapping; an ``EdgeCounts`` given in any order has
+    the counts of a repeated pair added.
     """
 
     n_rounds: int
     atom_count: int
-    edge_counts: dict[tuple[int, int], int]
+    edge_counts: EdgeCounts
 
     def __post_init__(self):
         object.__setattr__(self, "n_rounds", check_integer("n_rounds", self.n_rounds, 0, 2**63))
-        counts = _int64_array(self.edge_counts.values(), len(self.edge_counts))
-        _check_pairs(_pair_array(self.edge_counts), self.atom_count, counts, self.n_rounds)
+        edges = self.edge_counts
+        if not isinstance(edges, EdgeCounts):
+            edges = EdgeCounts(_pair_array(edges), _int64_array(edges.values()))
+        _check_pairs(edges.pairs, self.atom_count, edges.counts, self.n_rounds)
+        object.__setattr__(self, "edge_counts", EdgeCounts(*_canonical(edges.pairs, edges.counts)))
 
     def total_edges(self) -> int:
         """Number of distinct connected pairs."""
@@ -112,27 +170,54 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class BinaryGraph:
-    """Unordered adjacency: the pairs with at least one edge."""
+    """Unordered adjacency: the pairs with at least one edge.  The
+    constructor also takes any iterable of pairs; a repeated pair counts
+    once."""
 
-    adjacency: frozenset[tuple[int, int]]
+    adjacency: EdgeSet
     atom_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "adjacency", frozenset(self.adjacency))
-        _check_pairs(_pair_array(self.adjacency), self.atom_count)
+        adjacency = self.adjacency
+        pairs = adjacency.pairs if isinstance(adjacency, EdgeSet) else _pair_array(adjacency)
+        _check_pairs(pairs, self.atom_count)
+        object.__setattr__(self, "adjacency", EdgeSet(_canonical(pairs)[0]))
 
 
-def _int64_array(values, count: int) -> np.ndarray:
+def _int64_array(values) -> np.ndarray:
     try:
-        return np.fromiter(values, np.int64, count=count)
+        return np.fromiter(values, np.int64)
     except OverflowError:
         raise ParameterError("edge list holds a value outside the int64 range") from None
 
 
 def _pair_array(pairs) -> np.ndarray:
-    """The (i, j) pairs of an edge container as an (E, 2) int64 array, in
-    iteration order."""
-    return _int64_array(chain.from_iterable(pairs), 2 * len(pairs)).reshape(-1, 2)
+    """An iterable of (i, j) pairs as a (2, E) int64 array, in iteration order."""
+    return np.ascontiguousarray(_int64_array(chain.from_iterable(pairs)).reshape(-1, 2).T)
+
+
+def _sort_order(pairs: np.ndarray):
+    """The stable order that sorts COO ``pairs`` by (i, j), and the mask of
+    the sorted columns that repeat the column before them."""
+    order = np.lexsort(pairs[::-1])
+    ordered = pairs.take(order, axis=1)
+    repeat = np.zeros(order.size, dtype=bool)
+    repeat[1:] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+    return order, repeat
+
+
+def _canonical(pairs: np.ndarray, counts: np.ndarray | None = None):
+    """COO ``pairs`` and ``counts`` sorted by (i, j), each repeated pair kept
+    once with its counts summed.  Sorted, distinct pairs come back as they
+    are, so a container built from another's arrays shares them."""
+    i, j = pairs
+    if ((i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))).all():
+        return pairs, counts
+    order, repeat = _sort_order(pairs)
+    first = np.flatnonzero(~repeat)
+    if counts is not None:
+        counts = np.add.reduceat(counts[order], first)
+    return pairs.take(order[first], axis=1), counts
 
 
 def _check_draw_args(n_rounds: int, seed: int) -> tuple[int, int]:
@@ -143,12 +228,13 @@ def _check_draw_args(n_rounds: int, seed: int) -> tuple[int, int]:
 
 
 def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None) -> None:
-    """Raise ParameterError naming the first bad row of ``pairs``.
+    """Raise ParameterError naming the first bad column of ``pairs``.
 
-    A row is bad if it is a loop, lies outside 0 <= i < j < atom_count, or,
-    when ``counts`` is given, has a count outside 1..n_rounds.
+    A column (i, j) is bad if it is a loop, lies outside
+    0 <= i < j < atom_count, or, when ``counts`` is given, has a count
+    outside 1..n_rounds.
     """
-    i, j = pairs[:, 0], pairs[:, 1]
+    i, j = pairs
     bad = (i < 0) | (i >= j) | (j >= atom_count)
     if counts is not None:
         bad |= (counts < 1) | (counts > n_rounds)
@@ -156,7 +242,7 @@ def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None)
     if not hits.size:
         return
     first = int(hits[0])
-    a, b = pairs[first].tolist()
+    a, b = pairs[:, first].tolist()
     if a == b:
         raise ParameterError(f"loop ({a}, {a}) is not allowed")
     if not 0 <= a < b < atom_count:
@@ -309,8 +395,9 @@ def _drain(parts: list):
 
 
 def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
-                    epoch: int) -> dict:
-    """One epoch of pair draws: {pair: positive count}.
+                    epoch: int) -> EdgeCounts:
+    """One epoch of pair draws: the pairs with a positive count, in row
+    order, and their counts.
 
     Each pair is hashed once and its hash compared with its row's
     :func:`_zero_thresholds` entry.  A hash below it puts the pair's keyed
@@ -323,21 +410,22 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     weights = measure.weights
     k = weights.size
     if delta_rounds == 0 or k < 2:
-        return {}
+        return EdgeCounts(np.empty((2, 0), np.int64), np.empty(0, np.int64))
     order = np.argsort(-weights, kind="stable")
     ws = weights[order]
     lens = k - 1 - np.arange(k)
     base_key = derive_key(seed, epoch)
-    edges = {}
+    edges = []
     for i, j, h in _survivor_batches(order, lens, row_keys(base_key, k),
                                      _zero_thresholds(ws, delta_rounds)):
         # weights[i] * weights[j] is bit for bit the ws[a] * ws[b] of the pair
         counts = _binomial_counts(base_key, h, i, j, delta_rounds,
                                   weights[i] * weights[j])
         nz = np.flatnonzero(counts)
-        edges.update(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
+        edges.append((np.stack((i[nz], j[nz])), counts[nz]))
         del i, j, h, counts, nz  # freed before the next batch is joined
-    return edges
+    pairs, counts = zip(*edges)
+    return EdgeCounts(np.concatenate(pairs, axis=1), np.concatenate(counts))
 
 
 def generate(measure: AtomicMeasure, n_rounds: int, seed: int) -> MultiGraph:
@@ -379,8 +467,7 @@ def generate_exact_rounds(measure: AtomicMeasure, n_rounds: int, seed: int) -> M
     for _ in range(n_rounds):
         counts += rng.random(probs.size) < probs
     nz = np.flatnonzero(counts)
-    edges = {(int(iu[t]), int(ju[t])): int(counts[t]) for t in nz}
-    return MultiGraph(n_rounds, k, edges)
+    return MultiGraph(n_rounds, k, EdgeCounts(np.stack((iu[nz], ju[nz])), counts[nz]))
 
 
 def start_growth(measure: AtomicMeasure, seed: int) -> GrowthState:
@@ -403,26 +490,29 @@ def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
     if n_rounds >= 2**63:
         raise ParameterError(f"n_rounds must stay below 2**63, got {n_rounds}")
     epoch = state.epoch + 1
-    merged = dict(state.graph.edge_counts)
-    for pair, count in _draw_increment(state.measure, delta_rounds, state.seed, epoch).items():
-        merged[pair] = merged.get(pair, 0) + count
+    old = state.graph.edge_counts
+    new = _draw_increment(state.measure, delta_rounds, state.seed, epoch)
+    # MultiGraph sorts the joined pairs and adds the counts of a pair in both
+    merged = EdgeCounts(np.concatenate((old.pairs, new.pairs), axis=1),
+                        np.concatenate((old.counts, new.counts)))
     graph = MultiGraph(n_rounds, state.graph.atom_count, merged)
     return replace(state, graph=graph, epoch=epoch)
 
 
 def binarize(graph: MultiGraph) -> BinaryGraph:
-    """Threshold counts at one: the pairs connected at least once."""
-    return BinaryGraph(frozenset(graph.edge_counts), graph.atom_count)
+    """Threshold counts at one: the pairs connected at least once, sharing
+    the multigraph's pair array."""
+    return BinaryGraph(EdgeSet(graph.edge_counts.pairs), graph.atom_count)
 
 
 def write_edges_csv(graph: MultiGraph | BinaryGraph, path) -> None:
     """Write a MultiGraph as ``i,j,count`` rows or a BinaryGraph as ``i,j``
     rows, sorted by pair."""
     if isinstance(graph, MultiGraph):
-        write_csv(path, _MULTIGRAPH_HEADER,
-                  ((*pair, count) for pair, count in sorted(graph.edge_counts.items())))
+        edges = graph.edge_counts
+        write_csv(path, _MULTIGRAPH_HEADER, zip(*edges.pairs.tolist(), edges.counts.tolist()))
     else:
-        write_csv(path, _BINARYGRAPH_HEADER, sorted(graph.adjacency))
+        write_csv(path, _BINARYGRAPH_HEADER, graph.adjacency)
 
 
 def read_edges_csv(path) -> MultiGraph | BinaryGraph:
@@ -431,13 +521,15 @@ def read_edges_csv(path) -> MultiGraph | BinaryGraph:
     count is one past the largest id and the round count the largest count,
     the smallest totals consistent with the data."""
     header, rows = read_csv(path, _MULTIGRAPH_HEADER, _BINARYGRAPH_HEADER)
-    i, j, *counts = (column(path, header, rows, name, int) for name in header)
-    edges = {}
-    for pair, count in zip(zip(i, j), counts[0] if counts else [None] * len(rows)):
-        if pair in edges:
-            raise ParameterError(f"{path}: pair {pair} appears on more than one row")
-        edges[pair] = count
-    atom_count = 1 + max(j, default=-1)
-    if header == _BINARYGRAPH_HEADER:
-        return BinaryGraph(frozenset(edges), atom_count)
-    return MultiGraph(max(counts[0], default=0), atom_count, edges)
+    i, j, *counts = (np.array(column(path, header, rows, name, int), dtype=np.int64)
+                     for name in header)
+    pairs = np.stack((i, j))
+    order, repeat = _sort_order(pairs)
+    if repeat.any():
+        # the stable sort puts a pair's first row first: the earliest repeat
+        a, b = pairs[:, order[repeat].min()].tolist()
+        raise ParameterError(f"{path}: pair {(a, b)} appears on more than one row")
+    atom_count = 1 + int(j.max(initial=-1))
+    if not counts:
+        return BinaryGraph(EdgeSet(pairs), atom_count)
+    return MultiGraph(int(counts[0].max(initial=0)), atom_count, EdgeCounts(pairs, counts[0]))

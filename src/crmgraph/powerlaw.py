@@ -63,13 +63,14 @@ class LogLogFit:
 
 @dataclass(frozen=True)
 class CcdfCurve:
-    """Empirical survival curve P(X > M) at integer thresholds."""
+    """Empirical survival curve P(X > M) at integer thresholds, which follow
+    the sample rule of :func:`ccdf`."""
 
     thresholds: np.ndarray
     survival: np.ndarray
 
     def __post_init__(self):
-        thresholds = np.asarray(self.thresholds, dtype=np.int64)
+        thresholds = _integers(self.thresholds, "threshold")
         survival = np.asarray(self.survival, dtype=np.float64)
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "survival", survival)
@@ -154,20 +155,32 @@ def ccdf(samples) -> CcdfCurve:
     return _survival(samples)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as a 1-d int64 array, or a FitError naming the first that is
+    not an int or an integral float in [0, 2**53).  An integer array is
+    checked whole, anything else value by value, so that bools and strings
+    are not taken for numbers."""
+    whole = isinstance(values, np.ndarray) and values.dtype.kind in "iu"
+    array = values if whole else np.asarray(values, dtype=object)
+    if array.ndim != 1:
+        raise FitError(f"{name}s must be a 1-d array, got shape {array.shape}")
+    bad = array[(array < 0) | (array >= 2**53)] if whole else [
+        v for v in array if isinstance(v, bool) or not isinstance(v, numbers.Real)
+        or not 0 <= v < 2**53 or v != int(v)]
+    if len(bad):
+        raise FitError(f"{name} '{bad[0]}' is not an integer in [0, 2**53)")
+    return array.astype(np.int64)
+
+
 def _survival(values, counts=None) -> CcdfCurve:
     """The curve of :func:`ccdf` over ``values``, each taken ``counts[k]``
     times if given (once otherwise)."""
-    samples = np.asarray(values, dtype=object)  # keeps bools and strings apart from numbers
-    if samples.ndim != 1:
-        raise FitError(f"samples must be a 1-d array, got shape {samples.shape}")
-    for value in samples:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                or not 0 <= value < 2**53 or value != int(value)):
-            raise FitError(f"sample '{value}' is not an integer in [0, 2**53)")
-        if value > _MAX_THRESHOLDS:
-            raise FitError(f"sample '{value}' would give a survival curve of more than "
-                           f"{_MAX_THRESHOLDS} thresholds")
-    tallies = np.bincount(samples.astype(np.int64), weights=counts).astype(np.int64)
+    samples = _integers(values, "sample")
+    big = samples[samples > _MAX_THRESHOLDS]
+    if big.size:
+        raise FitError(f"sample '{big[0]}' would give a survival curve of more than "
+                       f"{_MAX_THRESHOLDS} thresholds")
+    tallies = np.bincount(samples, weights=counts).astype(np.int64)
     nonzero = np.flatnonzero(tallies)
     if nonzero.size == 0:
         raise FitError("ccdf needs at least one sample")

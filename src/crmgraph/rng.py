@@ -77,7 +77,13 @@ def pair_hashes(row_key: np.ndarray, j: np.ndarray,
 
 
 def philox(*key_fields: int) -> np.random.Generator:
-    """A numpy Generator on a Philox stream keyed by the given integers."""
+    """A numpy Generator on a Philox stream keyed by the given integers.
+
+    numpy reads a key tuple with one half at or above 2**63 and one below as
+    float64, so about half the keys lose low bits (``derive_key(3, 5)`` =
+    14871207630202690639 is kept as 14871207630202691584).  A uint64 key
+    array would mend it and change every stream, so it waits for a change
+    that alters the streams anyway."""
     lo = derive_key(*key_fields)
     hi = derive_key(lo, *key_fields)
     return np.random.Generator(np.random.Philox(key=(lo, hi)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .graphs import BinaryGraph, _pair_array, _row_blocks, _row_pairs
+from .graphs import BinaryGraph, _row_blocks, _row_pairs
 from .measures import check_integer
 
 __all__ = [
@@ -68,10 +68,9 @@ class GraphStats:
 
 def _degree_triangle_arrays(graph: BinaryGraph):
     """Effective vertex ids (ascending) and their degrees and triangle counts."""
-    pairs = _pair_array(graph.adjacency)
-    vertex_ids, inverse = np.unique(pairs.ravel(), return_inverse=True)
+    vertex_ids, inverse = np.unique(graph.adjacency.pairs, return_inverse=True)
     n = vertex_ids.size
-    u, v = inverse.reshape(-1, 2).T
+    u, v = inverse.reshape(2, -1)
     degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     return vertex_ids, degree, _forward_triangles(u, v, degree)
 

@@ -1,12 +1,14 @@
+import gc
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as st
 
-from crmgraph import graphs
+from crmgraph import experiment, graphs
 from crmgraph.graphs import (BinaryGraph, MultiGraph, binarize, extend, generate,
                              generate_exact_rounds, read_edges_csv, start_growth,
                              write_edges_csv)
@@ -335,13 +337,14 @@ class TestHashFirst:
                 state = start_growth(m, seed)
                 for delta in deltas:
                     state = extend(state, delta)
-            assert list(g.edge_counts.items()) == reference_draw(
-                m.weights, n, seed, 0)
+            # the same pairs and counts as the row-order reference, sorted by pair
+            assert list(g.edge_counts.items()) == sorted(reference_draw(
+                m.weights, n, seed, 0))
             grown = {}
             for epoch, delta in enumerate(deltas, start=1):
                 for pair, count in reference_draw(m.weights, delta, seed, epoch):
                     grown[pair] = grown.get(pair, 0) + count
-            assert list(state.graph.edge_counts.items()) == list(grown.items())
+            assert list(state.graph.edge_counts.items()) == sorted(grown.items())
 
         check()
 
@@ -434,6 +437,90 @@ class TestExactRounds:
             p = w[i] * w[j]
             se = math.sqrt(n * p * (1 - p) / reps)
             assert abs(total / reps - n * p) < 3 * se
+
+
+def stress_measure():
+    """A discount-0.5 measure of 1,477 atoms; 2e5 rounds give about 26k edges."""
+    params = BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0)
+    return sample_three_param_bp(params, StickBreakingConfig(rounds=500, seed=1))
+
+
+class TestContainers:
+    def test_generate_and_binarize_hold_under_64_bytes_an_edge(self):
+        m = stress_measure()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = generate(m, 200_000, seed=2)
+            z = binarize(g)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert g.total_edges() >= 20_000
+        assert held <= 64 * g.total_edges()
+        assert g.edge_counts.pairs.flags.c_contiguous
+        assert z.adjacency.pairs is g.edge_counts.pairs
+
+    def test_views_follow_the_arrays(self):
+        g = MultiGraph(9, 5, {(2, 4): 1, (0, 3): 9, (0, 1): 2})
+        assert list(g.edge_counts.items()) == [((0, 1), 2), ((0, 3), 9), ((2, 4), 1)]
+        assert g.edge_counts.pairs.tolist() == [[0, 0, 2], [1, 3, 4]]
+        assert g.edge_counts.pairs.flags.c_contiguous
+        assert g.edge_counts.counts.tolist() == [2, 9, 1]
+        assert g.edge_counts[(0, 3)] == 9 and (1, 3) not in g.edge_counts
+        assert g.edge_counts.get((3, 4), 0) == 0 and len(g.edge_counts) == 3
+        z = BinaryGraph([(2, 4), (0, 1), (2, 4)], 5)
+        assert list(z.adjacency) == [(0, 1), (2, 4)] and (2, 4) in z.adjacency
+        assert (1, 2) not in z.adjacency and z == BinaryGraph({(0, 1), (2, 4)}, 5)
+
+
+class TestBenchReads:
+    """The container reads the benchmark under bench/ makes, each written as
+    it is there, so that they stop working only on purpose."""
+
+    def test_binary_reads(self):
+        z = binarize(generate(sampled_measure(seed=1, rounds=100), 200, seed=4))
+        # checks.edge_list, and tracing._count_binarize
+        pairs = [(int(i), int(j)) for i, j in z.adjacency]
+        assert len(z.adjacency) == len(set(pairs)) == len(pairs) > 1
+        # selftest.sweep_negatives drops the first edge
+        short = replace(z, adjacency=frozenset(sorted(z.adjacency)[1:]))
+        assert sorted(short.adjacency) == sorted(pairs)[1:]
+        assert short.atom_count == z.atom_count
+
+    def test_extend_reads_stay_linear(self):
+        # tracing._count_extend looks up every edge of the new graph in the old
+        state = extend(start_growth(stress_measure(), 1), 100_000)
+        old, new = state.graph, extend(state, 100_000).graph
+        grown = sum(1 for pair, c in new.edge_counts.items()
+                    if c > old.edge_counts.get(pair, 0))
+        assert 0 < grown < new.total_edges() and old.total_edges() >= 15_000
+        # one view per graph, and a lookup copies nothing the size of the graph
+        assert old.edge_counts is old.edge_counts
+        items = list(new.edge_counts.items())
+        tracemalloc.start()
+        try:
+            for pair, _ in items:
+                old.edge_counts.get(pair, 0)
+            tracemalloc.reset_peak()
+            for pair, _ in items:
+                old.edge_counts.get(pair, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < old.total_edges() // 4
+
+    def test_counters(self, tmp_path, monkeypatch):
+        # tracing._count_generate, and checks.skip_bound through workloads
+        g = generate(THREE, 50, seed=1)
+        assert g.total_edges() == len(g.edge_counts) and g.atom_count == 3
+        assert g.skipped_pairs == 0 and g.skipped_edge_bound == 0.0
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        cfg = experiment.ExperimentConfig(rounds=60, n_start=10, n_stop=30, n_step=10,
+                                          replicas=1, out_dir=str(tmp_path))
+        assert experiment.run_sweep(cfg).max_skip_bound == 0.0
 
 
 class TestBinarize:
@@ -550,6 +637,17 @@ class TestEdgeCsv:
         path = tmp_path / "edges.csv"
         path.write_text(text)
         with pytest.raises(ParameterError, match=re.escape("pair (1, 2)")):
+            read_edges_csv(path)
+
+    @pytest.mark.parametrize("text,message", [
+        ("i,j\n0,4\n3,3\n1,1\n", "loop (3, 3)"),
+        ("i,j,count\n0,4,1\n2,1,1\n1,0,1\n", "pair (2, 1) out of range"),
+    ])
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path, text, message):
+        # the reader sorts pairs, but names the first bad row of the file
+        path = tmp_path / "edges.csv"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=re.escape(message)):
             read_edges_csv(path)
 
     @pytest.mark.parametrize("text,row,fields", [

@@ -1,0 +1,81 @@
+"""Byte-identity guard: sha256 digests of outputs that no refactor may change.
+
+The digests were taken from the code before the graph containers became
+sorted arrays.  A change that alters any of these bytes on purpose (a new
+random stream, a new column) updates the digests here and says why.
+"""
+
+import hashlib
+from dataclasses import replace
+
+from crmgraph import experiment, graphs
+from crmgraph.cli import cli_dispatch
+from crmgraph.experiment import DESK_PROFILE, run_sweep
+
+SWEEP_FILES = ("fits.csv", "fits.json", "hist.csv", "sweep.csv")
+
+DESK_SEED_0 = {
+    "fits.csv": "5cc6c256c959c65afa5e0162d6d207d37e4112c40cced4ca24a4ba14cdf16031",
+    "fits.json": "1bfaddee3d07bebee8195149f5008d71b2e4af195c2a09f082052075b9b582fd",
+    "hist.csv": "d2e20dacfd55a4c718990a7af3ad6eada3199e7e7a52127644dd45693570c103",
+    "sweep.csv": "6fa69404b94c2cee7f73d3a979c9928ad32086bfaa1797a7468585879ae3d0d8",
+}
+
+# Independent mode at discount 0.5: heavy pairs underflow the zero-count pmf
+# (graphs._LOG_PMF0_MIN) and draw from the per-pair Philox fallback.
+FALLBACK_SWEEP = replace(DESK_PROFILE, alpha=0.5, rounds=400, n_start=10_000,
+                         n_stop=50_000, n_step=10_000, replicas=3,
+                         growth_mode="independent", seed=0)
+FALLBACK = {
+    "fits.csv": "bfa699bb09712f17302fded07af8495c5a2e41fde055e1770c200536d83f42e3",
+    "fits.json": "8f732bd3366b0a0f3bb69727a3a9aaa52d5acc6ca04995301281d72623fe0408",
+    "hist.csv": "c028bbbebb50ca71847e4a2eb14e080391ef14ac166d154002c96ecb38fb3be9",
+    "sweep.csv": "d81d87349990632c5d42fa8b21a2d092aab104c62d36a6aab9f398fd47a3302b",
+}
+
+# `measure --seed 3`, then `graph --n 5000 --seed 7` on it, and `stats --n 5000`
+# on that edge list; both graph files give the same statistics.
+GRAPH = {
+    "multi.csv": "bef044d9129acd1eed0897862c48ddca015a701c466c05cc236496bc840bd1c1",
+    "binary.csv": "883662177d7973d2c03780584f7f44b6f5cbc1e70df8e74f4f4dacb77ffca646",
+    "wide.csv": "9c60e333e1108961a1123150731a89d2356bc40a19a154f6e11ab3652e4d5f35",
+    "long.csv": "16eea12bd0b50486533c76fded834e88fe756f14f6a68fcf6b16dc0e5597e1e3",
+}
+
+
+def digests(directory, names):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
+def test_desk_sweep_at_seed_0(tmp_path):
+    run_sweep(replace(DESK_PROFILE, seed=0, out_dir=str(tmp_path)))
+    assert digests(tmp_path, SWEEP_FILES) == DESK_SEED_0
+
+
+def test_independent_sweep_through_the_philox_fallback(tmp_path, monkeypatch):
+    monkeypatch.setenv(experiment.THREADS_ENV, "1")  # counted in this process
+    calls = []
+    philox = graphs.philox
+
+    def counting(*fields):
+        calls.append(fields)
+        return philox(*fields)
+
+    monkeypatch.setattr(graphs, "philox", counting)
+    run_sweep(replace(FALLBACK_SWEEP, out_dir=str(tmp_path)))
+    assert calls
+    assert digests(tmp_path, SWEEP_FILES) == FALLBACK
+
+
+def test_graph_and_stats_output(tmp_path):
+    d = tmp_path
+    for argv in (("measure", "--seed", "3", "--out", d / "w.csv"),
+                 ("graph", "--weights", d / "w.csv", "--n", "5000", "--seed", "7",
+                  "--out", d / "multi.csv"),
+                 ("graph", "--weights", d / "w.csv", "--n", "5000", "--seed", "7",
+                  "--binary", "--out", d / "binary.csv"),
+                 ("stats", d / "multi.csv", "--n", "5000", "--out", d / "wide.csv"),
+                 ("stats", d / "binary.csv", "--n", "5000", "--long", "--out", d / "long.csv")):
+        assert cli_dispatch([str(arg) for arg in argv]) == 0
+    assert digests(d, GRAPH) == GRAPH

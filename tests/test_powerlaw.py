@@ -208,6 +208,24 @@ class TestCcdf:
         with pytest.raises(FitError):
             CcdfCurve(np.array([0, 1, 2]), np.array([1.0, 0.5]))  # lengths
 
+    @pytest.mark.parametrize("thresholds,named", [
+        ([0, 1.7, 2.9], "threshold '1.7'"), ([0, True, 2], "threshold 'True'"),
+        (np.array([0.0, 1.5, 2.0]), "threshold '1.5'"), ([0, "1", 2], "threshold '1'"),
+        ([0, 1, float("nan")], "threshold 'nan'"), (np.array([-1, 0, 1]), "threshold '-1'"),
+        (np.array([0, 1, 2**53], dtype=np.uint64), f"threshold '{2**53}'"),
+    ])
+    def test_curve_threshold_that_is_not_an_integer_is_named(self, thresholds, named):
+        with pytest.raises(FitError) as info:
+            CcdfCurve(thresholds, [1.0, 0.5, 0.25])
+        assert str(info.value) == f"{named} is not an integer in [0, 2**53)"
+
+    @pytest.mark.parametrize("thresholds", [
+        [0, 1, 2], [0.0, 1.0, 2.0], np.array([0, 1, 2], dtype=np.uint8),
+        np.array([0.0, 1.0, 2.0])])
+    def test_curve_keeps_integral_thresholds(self, thresholds):
+        curve = CcdfCurve(thresholds, [1.0, 0.5, 0.25])
+        assert curve.thresholds.dtype == np.int64 and curve.thresholds.tolist() == [0, 1, 2]
+
 
 class TestClassify:
     def test_dense_boundary(self):
