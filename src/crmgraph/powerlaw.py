@@ -164,9 +164,11 @@ def _integers(values, name: str) -> np.ndarray:
     array = values if whole else np.asarray(values, dtype=object)
     if array.ndim != 1:
         raise FitError(f"{name}s must be a 1-d array, got shape {array.shape}")
-    bad = array[(array < 0) | (array >= 2**53)] if whole else [
-        v for v in array if isinstance(v, bool) or not isinstance(v, numbers.Real)
-        or not 0 <= v < 2**53 or v != int(v)]
+    if whole:
+        bad = array[(array < 0) | (array >= 2**53)]
+    else:
+        bad = [v for v in array if isinstance(v, bool) or not isinstance(v, numbers.Real)
+               or not 0 <= v < 2**53 or v != int(v)]
     if len(bad):
         raise FitError(f"{name} '{bad[0]}' is not an integer in [0, 2**53)")
     return array.astype(np.int64)
