@@ -1,7 +1,8 @@
 """Byte-identity guard: sha256 digests of outputs that no refactor may change.
 
 The digests were taken from the code before the graph containers became
-sorted arrays.  A change that alters any of these bytes on purpose (a new
+sorted arrays, and the stress-scale ``generate`` digests from the code before
+the draw walked atom pairs in index order.  A change that alters any of these bytes on purpose (a new
 random stream, a new column) updates the digests here and says why.
 """
 
@@ -11,6 +12,7 @@ from dataclasses import replace
 from crmgraph import experiment, graphs
 from crmgraph.cli import cli_dispatch
 from crmgraph.experiment import DESK_PROFILE, run_sweep
+from crmgraph.measures import BetaProcessParams, StickBreakingConfig, sample_three_param_bp
 
 SWEEP_FILES = ("fits.csv", "fits.json", "hist.csv", "sweep.csv")
 
@@ -40,6 +42,15 @@ GRAPH = {
     "binary.csv": "883662177d7973d2c03780584f7f44b6f5cbc1e70df8e74f4f4dacb77ffca646",
     "wide.csv": "9c60e333e1108961a1123150731a89d2356bc40a19a154f6e11ab3652e4d5f35",
     "long.csv": "16eea12bd0b50486533c76fded834e88fe756f14f6a68fcf6b16dc0e5597e1e3",
+}
+
+# generate at N = 1e6 on a discount-0.5 measure of 3,510 atoms: 6.2e6 pairs,
+# 69,524 edges, 822 of them from the Philox fallback.  At this scale the
+# heavy atoms are spread over the index range, so any order of walking the
+# pairs that leaked into the output would show here.
+STRESS_GENERATE = {
+    "pairs": "368c6cc5cd486b11857c61307eef037ae222d5df682ddfebc1decf2d7cb276c2",
+    "counts": "08851b582f6851febe179bdf7abb51798890a42c82a38d37339f9ff9ffc0c4ee",
 }
 
 
@@ -79,3 +90,15 @@ def test_graph_and_stats_output(tmp_path):
                  ("stats", d / "binary.csv", "--n", "5000", "--long", "--out", d / "long.csv")):
         assert cli_dispatch([str(arg) for arg in argv]) == 0
     assert digests(d, GRAPH) == GRAPH
+
+
+def test_stress_scale_generate(monkeypatch):
+    calls = []
+    philox = graphs.philox
+    monkeypatch.setattr(graphs, "philox", lambda *fields: calls.append(fields) or philox(*fields))
+    m = sample_three_param_bp(BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0),
+                              StickBreakingConfig(rounds=1200, seed=1))
+    edges = graphs.generate(m, 10**6, seed=1).edge_counts
+    assert len(m) >= 3000 and calls
+    assert {name: hashlib.sha256(getattr(edges, name).tobytes()).hexdigest()
+            for name in STRESS_GENERATE} == STRESS_GENERATE
