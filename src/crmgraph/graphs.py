@@ -15,22 +15,21 @@ Most pairs draw a zero count, and the draw finds that out cheaply.  A pair's
 count comes from its keyed uniform ``(h >> 11) * 2**-53``, where h is the
 pair's 64-bit hash, and is zero exactly when that uniform lies below the
 zero-count probability ``q0 = (1 - p)^n``; pairs whose q0 underflows draw
-from their own Philox stream instead.  Walking the atoms by descending
-weight, row a pairs atom a only with lighter atoms, so every pair of the row
-has p at most that of the row's first pair, and q0 at least that pair's.  A
-hash below that level, less a margin far wider than the rounding of log1p
-and exp, is therefore a zero count for certain, found by one integer
-compare.  Only the other pairs run the binomial draw, which gives each the
-count it gets when every pair runs it, so the graph, edge order included,
-does not depend on the filter.  No pair is left out, however light: each
-costs at least its hash.
+from their own Philox stream instead.  Row i pairs atom i with every later
+atom, so each pair of the row has q0 at least that of atom i with the
+heaviest atom after it.  A hash below that level, less a margin far wider
+than the rounding of log1p and exp, is a zero count for certain, found by
+one integer compare.  The other pairs take the exact zero test, and only
+those that can be edges run the binomial draw, which gives each the count it
+gets when every pair runs it, so the graph does not depend on the filters.
+Rows go in index order, so the edges come out sorted by (i, j).  No pair is
+left out, however light: each costs at least its hash.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
+from collections.abc import Mapping, Set, Sized
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -64,13 +63,9 @@ _LOG_PMF0_MIN = -600.0
 # far too narrow to cost a measurable share of the pairs.
 _ZERO_SLACK = 2.0**-30
 
-# Pairs that may be edges, drawn by _binomial_counts at once.  About a dozen
-# arrays of this length are live per draw, so generator memory follows this
-# constant plus the edges, not the number of atom pairs.
-_PAIR_BLOCK = 1 << 16
-
-# Pairs hashed at once, in work buffers of this length (or a longer row's).
-# Larger blocks were no faster and raised peak RSS.
+# Pairs hashed and filtered at once (a longer row goes alone).  Generator
+# memory follows this constant plus the pairs that can be edges, not the
+# number of atom pairs.  Larger blocks were no faster and raised peak RSS.
 _HASH_BLOCK = 1 << 14
 
 _MULTIGRAPH_HEADER = ("i", "j", "count")
@@ -145,9 +140,10 @@ class MultiGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n_rounds", check_integer("n_rounds", self.n_rounds, 0, 2**63))
+        object.__setattr__(self, "atom_count", check_integer("atom_count", self.atom_count, 0, 2**63))
         edges = self.edge_counts
         if not isinstance(edges, EdgeCounts):
-            edges = EdgeCounts(_pair_array(edges), _int64_array(edges.values()))
+            edges = EdgeCounts(_pair_array(edges), _int64_array(edges.values(), "edge count"))
         _check_pairs(edges.pairs, self.atom_count, edges.counts, self.n_rounds)
         object.__setattr__(self, "edge_counts", EdgeCounts(*_canonical(edges.pairs, edges.counts)))
 
@@ -178,22 +174,33 @@ class BinaryGraph:
     atom_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "atom_count", check_integer("atom_count", self.atom_count, 0, 2**63))
         adjacency = self.adjacency
         pairs = adjacency.pairs if isinstance(adjacency, EdgeSet) else _pair_array(adjacency)
         _check_pairs(pairs, self.atom_count)
         object.__setattr__(self, "adjacency", EdgeSet(_canonical(pairs)[0]))
 
 
-def _int64_array(values) -> np.ndarray:
-    try:
-        return np.fromiter(values, np.int64)
-    except OverflowError:
-        raise ParameterError("edge list holds a value outside the int64 range") from None
+def _int64_array(values, name: str) -> np.ndarray:
+    """Edge-list ``values`` given as Python objects, as an int64 array.  Each
+    must be an integer by :func:`check_integer`'s rule, within int64, or a
+    ParameterError names it; arrays from the draw or the CSV reader skip this."""
+    checked = []
+    for value in values:
+        if isinstance(value, (int, np.integer)) and not -2**63 <= value < 2**63:
+            raise ParameterError(f"{name} {value} is outside the int64 range")
+        checked.append(check_integer(name, value, -2**63, 2**63))
+    return np.array(checked, dtype=np.int64)
 
 
 def _pair_array(pairs) -> np.ndarray:
     """An iterable of (i, j) pairs as a (2, E) int64 array, in iteration order."""
-    return np.ascontiguousarray(_int64_array(chain.from_iterable(pairs)).reshape(-1, 2).T)
+    ids = []
+    for pair in pairs:
+        if not isinstance(pair, Sized) or len(pair) != 2:
+            raise ParameterError(f"edge list entry {pair!r} is not an (i, j) pair")
+        ids.extend(pair)
+    return np.ascontiguousarray(_int64_array(ids, "vertex id").reshape(-1, 2).T)
 
 
 def _sort_order(pairs: np.ndarray):
@@ -294,22 +301,29 @@ def _row_pairs(lens: np.ndarray, start: int, stop: int):
     return a, b
 
 
-def _zero_thresholds(ws: np.ndarray, n_rounds: int) -> np.ndarray:
-    """Per row a of the descending order, a 64-bit pair hash below which the
-    count of every pair of the row is zero.
+def _zero_thresholds(heaviest: np.ndarray, n_rounds: int) -> np.ndarray:
+    """Per row, a 64-bit pair hash below which the count of every pair of the
+    row is zero, given ``heaviest``, the largest edge probability of the row.
 
-    Row a's heaviest pair is (a, a+1), so every pair of the row has
-    ``p <= ws[a] * ws[a+1]`` and a zero-count probability ``q0 = (1 - p)^n``
-    at least that pair's.  The threshold is that level, shrunk by
+    Every pair of the row has a zero-count probability ``q0 = (1 - p)^n`` at
+    least that of ``heaviest``.  The threshold is that level, shrunk by
     ``_ZERO_SLACK`` to absorb rounding in ``log1p`` and ``exp``, and put on the
     hash scale of :func:`_binomial_counts`, whose uniform is
     ``(h >> 11) * 2**-53``.  It is zero wherever the level is below 2**-53,
     which includes every row with a Philox pair.
     """
-    heaviest = np.append(ws[:-1] * ws[1:], 0.0)  # the last row has no pairs
     q0 = np.exp(n_rounds * np.log1p(-heaviest))
     level = np.floor(q0 * (1.0 - _ZERO_SLACK) * 2.0**53).astype(np.uint64)
     return level << np.uint64(11)
+
+
+def _zero_test(hashes: np.ndarray, probs: np.ndarray, n_rounds: int):
+    """Per pair, its keyed uniform ``(h >> 11) * 2**-53``, its log zero-count
+    probability ``n log1p(-p)``, and whether its count may be nonzero: the
+    uniform is at or above q0, or q0 underflows and a Philox stream draws."""
+    u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    log_q0 = n_rounds * np.log1p(-probs)
+    return u, log_q0, (u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN)
 
 
 def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
@@ -323,13 +337,12 @@ def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
     depends only on (base_key, i, j, n_rounds, p).
     """
     counts = np.zeros(probs.size, dtype=np.int64)
-    log_q0 = n_rounds * np.log1p(-probs)
+    u, log_q0, live = _zero_test(hashes, probs, n_rounds)
     big = log_q0 < _LOG_PMF0_MIN
-    u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     # k, the steps every alive pair has taken, is a float: the counts depend
     # on n_rounds - k rounding to a double when n_rounds >= 2**53
-    alive = np.flatnonzero((u >= np.exp(log_q0)) & ~big)
+    alive = np.flatnonzero(live & ~big)
     ratio = probs[alive] / (1.0 - probs[alive])
     pmf = np.exp(log_q0[alive])
     cdf = pmf.copy()
@@ -350,82 +363,42 @@ def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
     return counts
 
 
-def _survivor_batches(order: np.ndarray, lens: np.ndarray, atom_keys: np.ndarray,
-                      zero_below: np.ndarray):
-    """The pairs whose count may be nonzero, as batches (i, j, h) of original
-    indices i < j and pair hashes, in row order, of at most ``_PAIR_BLOCK``
-    pairs (more only when one hash block alone keeps more).  Row a pairs
-    position a of the descending ``order`` with every later position,
-    ``lens[a]`` of them.
-
-    A pair is kept when its hash is at or above its row's ``zero_below``
-    threshold; :func:`_binomial_counts` draws from that same hash.  Rows are
-    hashed ``_HASH_BLOCK`` pairs at a time (a longer row goes alone) in work
-    buffers shared by every block.
-    """
-    ends = np.concatenate([[0], np.cumsum(lens)])
-    size = min(int(ends[-1]), max(_HASH_BLOCK, int(lens[0])))
-    hashes = np.empty(size, dtype=np.uint64)
-    lo_buf, hi_buf = np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64)
-    parts, held = [], 0
-    for s, e in _row_blocks(lens, _HASH_BLOCK):
-        n = int(ends[e] - ends[s])
-        hi = np.concatenate([order[a + 1:] for a in range(s, e)], out=hi_buf[:n])
-        lo = np.repeat(order[s:e], lens[s:e])
-        i = np.minimum(lo, hi, out=lo_buf[:n])
-        j = np.maximum(lo, hi, out=hi)
-        h = pair_hashes(atom_keys.take(i, out=hashes[:n], mode="clip"),
-                        j.view(np.uint64), out=hashes[:n])
-        keep = np.flatnonzero(h >= np.repeat(zero_below[s:e], lens[s:e]))
-        if parts and held + keep.size > _PAIR_BLOCK:
-            yield _drain(parts)
-            held = 0
-        parts.append((i[keep], j[keep], h[keep]))
-        held += keep.size
-    if parts:
-        yield _drain(parts)
-
-
-def _drain(parts: list):
-    """The (i, j, h) pieces in ``parts`` joined, emptying the list so that
-    the pieces are freed before the joined arrays are used."""
-    joined = tuple(np.concatenate(piece) for piece in zip(*parts))
-    parts.clear()
-    return joined
-
-
 def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
                     epoch: int) -> EdgeCounts:
-    """One epoch of pair draws: the pairs with a positive count, in row
-    order, and their counts.
+    """One epoch of pair draws: the pairs with a positive count, sorted by
+    (i, j), and their counts.
 
-    Each pair is hashed once and its hash compared with its row's
-    :func:`_zero_thresholds` entry.  A hash below it puts the pair's keyed
-    uniform below the zero-count level of the row's heaviest pair, which is
-    at most the pair's own level, so the pair's count is zero for certain.
-    Only the other pairs, with their hashes, reach :func:`_binomial_counts`,
-    whose counts depend on nothing but the pair, so the counts and the order
-    of the nonzero ones are those of drawing every pair.
+    Row i pairs atom i with every later atom; rows are hashed in blocks of at
+    most ``_HASH_BLOCK`` pairs.  A hash below the row's :func:`_zero_thresholds`
+    entry puts the pair's keyed uniform below the zero-count level of the
+    row's heaviest pair, at most the pair's own, so its count is zero for
+    certain.  The other pairs take :func:`_zero_test`, and those that can have
+    a nonzero count, with their hashes, reach one :func:`_binomial_counts`
+    call, whose counts depend on nothing but the pair: those of every pair.
     """
     weights = measure.weights
     k = weights.size
     if delta_rounds == 0 or k < 2:
         return EdgeCounts(np.empty((2, 0), np.int64), np.empty(0, np.int64))
-    order = np.argsort(-weights, kind="stable")
-    ws = weights[order]
     lens = k - 1 - np.arange(k)
     base_key = derive_key(seed, epoch)
-    edges = []
-    for i, j, h in _survivor_batches(order, lens, row_keys(base_key, k),
-                                     _zero_thresholds(ws, delta_rounds)):
-        # weights[i] * weights[j] is bit for bit the ws[a] * ws[b] of the pair
-        counts = _binomial_counts(base_key, h, i, j, delta_rounds,
-                                  weights[i] * weights[j])
-        nz = np.flatnonzero(counts)
-        edges.append((np.stack((i[nz], j[nz])), counts[nz]))
-        del i, j, h, counts, nz  # freed before the next batch is joined
-    pairs, counts = zip(*edges)
-    return EdgeCounts(np.concatenate(pairs, axis=1), np.concatenate(counts))
+    keys = row_keys(base_key, k)
+    # row i's heaviest pair joins atom i to the heaviest atom after it
+    after = np.append(np.maximum.accumulate(weights[::-1])[-2::-1], 0.0)
+    zero_below = _zero_thresholds(weights * after, delta_rounds)
+    parts = []
+    for start, stop in _row_blocks(lens, _HASH_BLOCK):
+        i, j = _row_pairs(lens, start, stop)
+        h = pair_hashes(keys[i], j)
+        kept = np.flatnonzero(h >= zero_below[i])
+        i, j, h = i[kept], j[kept], h[kept]
+        kept = np.flatnonzero(_zero_test(h, weights[i] * weights[j], delta_rounds)[2])
+        parts.append((i[kept], j[kept], h[kept]))
+    i, j, h = (np.concatenate(part) for part in zip(*parts))
+    del parts  # freed before the binomial pass
+    counts = _binomial_counts(base_key, h, i, j, delta_rounds, weights[i] * weights[j])
+    nz = np.flatnonzero(counts)
+    return EdgeCounts(np.stack((i[nz], j[nz])), counts[nz])
 
 
 def generate(measure: AtomicMeasure, n_rounds: int, seed: int) -> MultiGraph:

@@ -53,8 +53,9 @@ def check_integer(name: str, value, lo: int, hi: int) -> int:
     number = int(value) if isinstance(value, numbers.Integral) else value
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not lo <= number < hi or number != int(number)):
-        hi_text = f"2**{hi.bit_length() - 1}" if hi in (2**63, 2**64) else hi
-        raise ParameterError(f"{name} must be in [{lo}, {hi_text}) and an integer, got {value!r}")
+        text = {-2**63: "-2**63", 2**63: "2**63", 2**64: "2**64"}
+        raise ParameterError(f"{name} must be in [{text.get(lo, lo)}, {text.get(hi, hi)}) "
+                             f"and an integer, got {value!r}")
     return int(number)
 
 

@@ -64,15 +64,11 @@ def row_keys(base_key: int, count: int) -> np.ndarray:
     return mix64_array(np.uint64(base_key & _MASK64) ^ np.arange(count, dtype=np.uint64))
 
 
-def pair_hashes(row_key: np.ndarray, j: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def pair_hashes(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Finish the per-item 64-bit hash ``mix64(row_key ^ j)`` from gathered
-    row keys.
-
-    Writes into ``out`` when given; ``out`` may be ``row_key`` itself.  A
-    uint64 ``j`` is read in place, any other integer dtype is copied.
-    """
-    h = np.bitwise_xor(row_key, j.astype(np.uint64, copy=False), out=out)
+    row keys, in a new array.  A uint64 ``j`` is read in place, any other
+    integer dtype is copied."""
+    h = np.bitwise_xor(row_key, j.astype(np.uint64, copy=False))
     return mix64_array(h, out=h)
 
 

@@ -174,9 +174,9 @@ class TestGenerate:
         # the draw reuses the filter's hashes, so no pair is hashed twice
         hashed = []
 
-        def counting(row_key, j, out=None):
+        def counting(row_key, j):
             hashed.append(j.size)
-            return pair_hashes(row_key, j, out=out)
+            return pair_hashes(row_key, j)
 
         monkeypatch.setattr(graphs, "pair_hashes", counting)
         monkeypatch.setattr("crmgraph.rng.pair_hashes", counting)
@@ -223,7 +223,7 @@ class TestPairBlocks:
     def test_block_size_does_not_change_graphs(self, monkeypatch, block, name, kwargs):
         m = self.case_measure(name)
         expected = trajectory_record(m, **kwargs)
-        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        monkeypatch.setattr(graphs, "_HASH_BLOCK", block)
         assert trajectory_record(m, **kwargs) == expected
 
     def test_blocks_cover_rows_in_order(self):
@@ -232,16 +232,16 @@ class TestPairBlocks:
         assert blocks == [(0, 1), (1, 2), (2, 3), (3, 8)]
 
     def test_pair_hashes_reproduce_keyed_hashes(self):
-        rng = np.random.default_rng(1)
-        i = rng.integers(0, 500, 1000)
-        j = rng.integers(0, 500, 1000)
-        base = 0xDEADBEEFCAFEF00D
+        k, base = 60, 0xDEADBEEFCAFEF00D
+        i, j = np.triu_indices(k, 1)
         expected = np.array(keyed_hashes(base, i, j), dtype=np.uint64)
-        assert np.array_equal(pair_hashes(row_keys(base, 500)[i], j), expected)
-        # in place, with j read as uint64 without a copy
-        out = row_keys(base, 500)[i]
-        assert pair_hashes(out, j.view(np.uint64), out=out) is out
-        assert np.array_equal(out, expected)
+        assert expected.size == k * (k - 1) // 2
+        keys = row_keys(base, k)[i]
+        # j as int64 is copied, as uint64 read in place; the hashes are new arrays
+        for ids in (j, j.view(np.uint64)):
+            hashes = pair_hashes(keys, ids)
+            assert np.array_equal(hashes, expected) and hashes is not keys
+        assert np.array_equal(keys, row_keys(base, k)[i])
 
     def test_generate_memory_is_bounded(self):
         # 3000 atoms keep all 4.5M pairs, which held 279 MB if drawn unblocked
@@ -258,17 +258,13 @@ class TestPairBlocks:
 
 
 def reference_draw(weights, n_rounds, seed, epoch):
-    """One epoch with no hash filter: every pair, in row order of the
-    descending-weight order, drawn by _binomial_counts in one call.  Returns
-    the items of the nonzero counts."""
-    k = weights.size
-    order = np.argsort(-weights, kind="stable")
-    ws = weights[order]
-    a, b = np.triu_indices(k, 1)
-    i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
-    probs = ws[a] * ws[b]
+    """One epoch with no filter: every pair (i, j), i < j, in np.triu_indices
+    order, drawn by _binomial_counts in one call.  Returns the items of the
+    nonzero counts."""
+    i, j = np.triu_indices(weights.size, 1)
+    probs = weights[i] * weights[j]
     base = derive_key(seed, epoch)
-    hashes = pair_hashes(row_keys(base, k)[i], j)
+    hashes = pair_hashes(row_keys(base, weights.size)[i], j)
     counts = graphs._binomial_counts(base, hashes, i, j, n_rounds, probs)
     # a pair whose keyed uniform lies below its zero-count level draws zero
     log_q0 = n_rounds * np.log1p(-probs)
@@ -289,16 +285,20 @@ class TestHashFirst:
     ROUNDS = (1, 3, 50, 1000, 10**6)
 
     def test_row_threshold_is_conservative(self):
-        # every pair of row a has a zero-count level, on the hash scale, at
-        # or above the row threshold, and no Philox pair sits under one
+        # row i pairs atom i with every later atom; each of its pairs has a
+        # zero-count level, on the hash scale, at or above the row threshold,
+        # and no Philox pair sits under one
         q0_one = zero_rows = philox_pairs = 0
         for seed in range(25):
             rng = np.random.default_rng(seed)
-            ws = np.sort(spread_weights(rng, 60))[::-1]
+            w = spread_weights(rng, 60)
+            if seed % 2:  # descending, the light rows last, where q0 rounds to 1
+                w = np.sort(w)[::-1]
             n = self.ROUNDS[seed % len(self.ROUNDS)]
-            thresholds = [int(t) for t in graphs._zero_thresholds(ws, n)]
-            a, b = np.triu_indices(ws.size, 1)
-            log_q0 = n * np.log1p(-(ws[a] * ws[b]))
+            heaviest = np.array([w[i] * w[i + 1:].max() for i in range(w.size - 1)])
+            thresholds = [int(t) for t in graphs._zero_thresholds(heaviest, n)]
+            a, b = np.triu_indices(w.size, 1)
+            log_q0 = n * np.log1p(-(w[a] * w[b]))
             q0 = np.exp(log_q0)
             for row, level, lq in zip(a.tolist(), q0.tolist(), log_q0.tolist()):
                 limit = math.ceil(level * 2**53) << 11
@@ -306,19 +306,19 @@ class TestHashFirst:
                 if thresholds[row]:
                     assert lq >= graphs._LOG_PMF0_MIN
                 philox_pairs += lq < graphs._LOG_PMF0_MIN
-            # the margin: each threshold stays below its row's own first-pair
-            # level, so rounding in log1p or exp cannot lift it over a pair
-            first = np.exp(n * np.log1p(-(ws[:-1] * ws[1:])))
-            for row, level in enumerate(first.tolist()):
+            # the margin: each threshold stays below the level of its row's
+            # heaviest pair, so rounding in log1p or exp cannot lift it over
+            # a pair
+            top = np.exp(n * np.log1p(-heaviest))
+            for row, level in enumerate(top.tolist()):
                 if thresholds[row]:
                     assert thresholds[row] < math.ceil(level * 2**53) << 11
                 q0_one += level == 1.0
                 zero_rows += thresholds[row] == 0
         assert q0_one and zero_rows and philox_pairs
 
-    @pytest.mark.parametrize("pair_block,hash_block", [
-        (1, 1), (7, 3), (graphs._PAIR_BLOCK, 7), (graphs._PAIR_BLOCK, graphs._HASH_BLOCK)])
-    def test_draws_equal_every_pair_reference(self, pair_block, hash_block):
+    @pytest.mark.parametrize("hash_block", [1, 3, 7, graphs._HASH_BLOCK])
+    def test_draws_equal_every_pair_reference(self, hash_block):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         weight = st.floats(math.log(1e-9), math.log(0.99)).map(math.exp)
@@ -331,15 +331,13 @@ class TestHashFirst:
         def check(weights, n, deltas, seed):
             m = AtomicMeasure(np.array(weights), np.arange(len(weights)) / 64)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(graphs, "_PAIR_BLOCK", pair_block)
                 patch.setattr(graphs, "_HASH_BLOCK", hash_block)
                 g = generate(m, n, seed)
                 state = start_growth(m, seed)
                 for delta in deltas:
                     state = extend(state, delta)
-            # the same pairs and counts as the row-order reference, sorted by pair
-            assert list(g.edge_counts.items()) == sorted(reference_draw(
-                m.weights, n, seed, 0))
+            # the same pairs and counts as the reference, in its (i, j) order
+            assert list(g.edge_counts.items()) == reference_draw(m.weights, n, seed, 0)
             grown = {}
             for epoch, delta in enumerate(deltas, start=1):
                 for pair, count in reference_draw(m.weights, delta, seed, epoch):
@@ -347,23 +345,6 @@ class TestHashFirst:
             assert list(state.graph.edge_counts.items()) == sorted(grown.items())
 
         check()
-
-    @pytest.mark.parametrize("edges, message", [
-        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 2): 1, (0, 9): 1}, "loop (2, 2)"),
-        ({(0, 1): 1, (0, 2): 1, (3, 1): 1, (1, 2): 1, (2, 2): 1}, "pair (3, 1) out of range"),
-        ({(0, 1): 1, (0, 2): 1, (1, 2): 5, (0, 3): 6, (3, 1): 1}, "count 6 for pair (0, 3)"),
-        ({(0, 1): 1, (0, 2): 1, (1, 2): 2**70, (2, 2): 1}, "outside the int64 range"),
-    ])
-    def test_chunked_validation_names_first_offending_pair(self, edges, message):
-        # each case has a second offender after the first, which must be the one named
-        with pytest.raises(ParameterError, match=re.escape(message)):
-            MultiGraph(5, 4, edges)
-
-    def test_chunked_binary_validation(self):
-        good = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
-        BinaryGraph(frozenset(good), 4)
-        with pytest.raises(ParameterError, match=re.escape("pair (2, 4) out of range")):
-            BinaryGraph(frozenset(good | {(2, 4)}), 4)
 
 
 class TestGrowth:
@@ -462,6 +443,16 @@ class TestContainers:
         assert held <= 64 * g.total_edges()
         assert g.edge_counts.pairs.flags.c_contiguous
         assert z.adjacency.pairs is g.edge_counts.pairs
+
+    def test_draw_reaches_the_graph_without_a_copy_or_sort(self, monkeypatch):
+        drawn = []
+        draw = graphs._draw_increment
+        monkeypatch.setattr(graphs, "_draw_increment",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        monkeypatch.setattr(graphs, "_sort_order", None)  # a sort would raise
+        g = generate(stress_measure(), 200_000, seed=2)
+        assert g.total_edges() >= 20_000
+        assert g.edge_counts.pairs is drawn[0].pairs and g.edge_counts.counts is drawn[0].counts
 
     def test_views_follow_the_arrays(self):
         g = MultiGraph(9, 5, {(2, 4): 1, (0, 3): 9, (0, 1): 2})
@@ -581,6 +572,59 @@ class TestValidation:
         with pytest.raises(ParameterError, match=re.escape("pair (1, 4) out of range")):
             BinaryGraph(frozenset({(0, 1), (1, 4)}), 4)
         BinaryGraph(frozenset({(0, 1), (1, 3)}), 4)
+
+    @pytest.mark.parametrize("edges, message", [
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 2): 1, (0, 9): 1}, "loop (2, 2)"),
+        ({(0, 1): 1, (0, 2): 1, (3, 1): 1, (1, 2): 1, (2, 2): 1}, "pair (3, 1) out of range"),
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 5, (0, 3): 6, (3, 1): 1}, "count 6 for pair (0, 3)"),
+        ({(0, 1): 1, (0, 2): 1, (1, 2): 2**70, (2, 2): 1}, "outside the int64 range"),
+    ])
+    def test_message_names_first_of_two_offenders(self, edges, message):
+        # each case has a second offender after the first, which must be the one named
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, 4, edges)
+
+    def test_binary_accepts_good_pairs_and_names_a_bad_one(self):
+        good = {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)}
+        BinaryGraph(frozenset(good), 4)
+        with pytest.raises(ParameterError, match=re.escape("pair (2, 4) out of range")):
+            BinaryGraph(frozenset(good | {(2, 4)}), 4)
+
+    @pytest.mark.parametrize("atom_count", [3.5, -2, True, 2**63, "4"])
+    def test_atom_count_must_be_a_count(self, atom_count):
+        message = f"atom_count must be in [0, 2**63) and an integer, got {atom_count!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, atom_count, {(0, 1): 1})
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            BinaryGraph(frozenset(), atom_count)
+
+    @pytest.mark.parametrize("pair", [(0.5, 1), ("0", 1), (True, 2), (0, 1.5)])
+    def test_vertex_ids_must_be_integers(self, pair):
+        # once truncated: (0.5, 1) and ("0", 1) were stored as (0, 1), (True, 2) as (1, 2)
+        bad = next(v for v in pair if not isinstance(v, int) or isinstance(v, bool))
+        message = f"vertex id must be in [-2**63, 2**63) and an integer, got {bad!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            BinaryGraph({pair}, 3)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, 3, {pair: 1})
+
+    @pytest.mark.parametrize("count", [2.7, True, "2"])
+    def test_counts_must_be_integers(self, count):
+        # 2.7 was once stored as the count 2
+        message = f"edge count must be in [-2**63, 2**63) and an integer, got {count!r}"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(5, 3, {(0, 1): count})
+
+    @pytest.mark.parametrize("pairs", [{(0, 1, 2)}, [(0, 1, 2), (3,)], [(0, 1), 5]])
+    def test_entries_must_be_pairs(self, pairs):
+        # [(0, 1, 2), (3,)] once read as the pairs (0, 1) and (2, 3)
+        with pytest.raises(ParameterError, match="is not an \\(i, j\\) pair"):
+            BinaryGraph(pairs, 5)
+
+    def test_integral_values_are_accepted(self):
+        g = MultiGraph(5, 3.0, {(np.int64(0), 1.0): np.int64(2), (1, 2): 3.0})
+        assert g == MultiGraph(5, 3, {(0, 1): 2, (1, 2): 3}) and type(g.atom_count) is int
+        assert BinaryGraph({(0.0, np.uint8(2))}, np.int64(3)) == BinaryGraph({(0, 2)}, 3)
 
 
 class TestEdgeCsv:

@@ -2,8 +2,9 @@
 
 The digests were taken from the code before the graph containers became
 sorted arrays, and the stress-scale ``generate`` digests from the code before
-the draw walked atom pairs in index order.  A change that alters any of these bytes on purpose (a new
-random stream, a new column) updates the digests here and says why.
+the draw walked atom pairs in index order.  A change that alters any of these
+bytes on purpose (a new random stream, a new column) updates the digests here
+and says why.
 """
 
 import hashlib
