@@ -1,14 +1,17 @@
 """Byte-identity guard: sha256 digests of outputs that no refactor may change.
 
 The digests were taken from the code before the graph containers became
-sorted arrays, and the stress-scale ``generate`` digests from the code before
-the draw walked atom pairs in index order.  A change that alters any of these
+sorted arrays, the stress-scale ``generate`` digests from the code before
+the draw walked atom pairs in index order, and the stress-scale ``extend``
+digests from the code before the zero test moved wholly into the draw.  A change that alters any of these
 bytes on purpose (a new random stream, a new column) updates the digests here
 and says why.
 """
 
 import hashlib
 from dataclasses import replace
+
+import pytest
 
 from crmgraph import experiment, graphs
 from crmgraph.cli import cli_dispatch
@@ -54,6 +57,13 @@ STRESS_GENERATE = {
     "counts": "08851b582f6851febe179bdf7abb51798890a42c82a38d37339f9ff9ffc0c4ee",
 }
 
+# extend from N = 0 to 2e5 and then to 1e6 on the same measure: epochs 1 and
+# 2, and the merge of their draws.
+STRESS_EXTEND = {
+    "pairs": "df3ab112b6dbac827da19ec6a94778ec2eb7b18cedbce23b396f2fcd88c978d7",
+    "counts": "1ecdae89aeead64996bf9ba03a218464b3f3cec0d6b1f15880310c68ffc93dbc",
+}
+
 
 def digests(directory, names):
     return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
@@ -93,13 +103,33 @@ def test_graph_and_stats_output(tmp_path):
     assert digests(d, GRAPH) == GRAPH
 
 
-def test_stress_scale_generate(monkeypatch):
+@pytest.fixture(scope="module")
+def stress_measure():
+    return sample_three_param_bp(BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0),
+                                 StickBreakingConfig(rounds=1200, seed=1))
+
+
+@pytest.fixture
+def philox_calls(monkeypatch):
     calls = []
     philox = graphs.philox
     monkeypatch.setattr(graphs, "philox", lambda *fields: calls.append(fields) or philox(*fields))
-    m = sample_three_param_bp(BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0),
-                              StickBreakingConfig(rounds=1200, seed=1))
-    edges = graphs.generate(m, 10**6, seed=1).edge_counts
-    assert len(m) >= 3000 and calls
-    assert {name: hashlib.sha256(getattr(edges, name).tobytes()).hexdigest()
-            for name in STRESS_GENERATE} == STRESS_GENERATE
+    return calls
+
+
+def array_digests(edges):
+    return {name: hashlib.sha256(getattr(edges, name).tobytes()).hexdigest()
+            for name in ("pairs", "counts")}
+
+
+def test_stress_scale_generate(stress_measure, philox_calls):
+    edges = graphs.generate(stress_measure, 10**6, seed=1).edge_counts
+    assert len(stress_measure) >= 3000 and philox_calls
+    assert array_digests(edges) == STRESS_GENERATE
+
+
+def test_stress_scale_extend(stress_measure, philox_calls):
+    state = graphs.extend(graphs.start_growth(stress_measure, 1), 2 * 10**5)
+    state = graphs.extend(state, 8 * 10**5)
+    assert state.n_rounds == 10**6 and philox_calls
+    assert array_digests(state.graph.edge_counts) == STRESS_EXTEND
