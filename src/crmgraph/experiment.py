@@ -22,7 +22,8 @@ from .fileio import open_text_sink, write_csv, write_json
 from .graphs import binarize, extend, generate, start_growth
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
                        check_integer, check_real, sample_three_param_bp)
-from .powerlaw import PowerLawReport, classify, write_fits_csv, write_fits_json
+from .powerlaw import (DEFAULT_LOWER_Q, DEFAULT_UPPER_Q, PowerLawReport, classify,
+                       write_fits_csv, write_fits_json)
 from .rng import derive_key
 from .stats import GraphStats, _hist_rows, summarize
 
@@ -74,8 +75,8 @@ class ExperimentConfig:
     growth_mode: str = "coupled"
     seed: int = 0  # master seed, in [0, 2**64)
     out_dir: str = "sweep-out"  # a str or an os.PathLike, stored as a str
-    fit_lower_q: float = 0.5
-    fit_upper_q: float = 1.0
+    fit_lower_q: float = DEFAULT_LOWER_Q
+    fit_upper_q: float = DEFAULT_UPPER_Q
 
     def __post_init__(self):
         # each field's type is checked here, and the process and stick ranges by

@@ -12,18 +12,18 @@ the pair enumeration across workers merges to the same result, and growing a
 graph in increments (one epoch per increment) is reproducible from scratch.
 
 Most pairs draw a zero count, and the draw finds that out cheaply.  A pair's
-count comes from its keyed uniform ``(h >> 11) * 2**-53``, where h is the
-pair's 64-bit hash, and is zero exactly when that uniform lies below the
-zero-count probability ``q0 = (1 - p)^n``; pairs whose q0 underflows draw
-from their own Philox stream instead.  Row i pairs atom i with every later
-atom, so each pair of the row has q0 at least that of atom i with the
-heaviest atom after it.  A hash below that level, less a margin far wider
-than the rounding of log1p and exp, is a zero count for certain, found by
-one integer compare.  The other pairs take the exact zero test, and only
-those that can be edges run the binomial draw, which gives each the count it
-gets when every pair runs it, so the graph does not depend on the filters.
-Rows go in index order, so the edges come out sorted by (i, j).  No pair is
-left out, however light: each costs at least its hash.
+count is zero exactly when its keyed uniform ``(h >> 11) * 2**-53``, where h
+is the pair's 64-bit hash, lies below its zero-count probability
+``q0 = (1 - p)^n``; pairs whose q0 underflows draw from their own Philox
+stream instead.  Row i pairs atom i with every later atom, so each pair of
+the row has q0 at least that of atom i with the heaviest atom after it.  A
+hash below that level, less a margin far wider than the rounding of log1p
+and exp, is a zero count for certain, found by one integer compare.  The
+other pairs get their uniform and the exact zero test in the same block, and
+only those that can be edges reach the count pass, which gives each the
+count it would get if every pair ran it, so the graph does not depend on
+the filters.  Rows go in index order, so the edges come out sorted by
+(i, j).  No pair is left out, however light: each costs at least its hash.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def _zero_thresholds(heaviest: np.ndarray, n_rounds: int) -> np.ndarray:
     Every pair of the row has a zero-count probability ``q0 = (1 - p)^n`` at
     least that of ``heaviest``.  The threshold is that level, shrunk by
     ``_ZERO_SLACK`` to absorb rounding in ``log1p`` and ``exp``, and put on the
-    hash scale of :func:`_binomial_counts`, whose uniform is
+    hash scale of :func:`_draw_increment`, whose uniform is
     ``(h >> 11) * 2**-53``.  It is zero wherever the level is below 2**-53,
     which includes every row with a Philox pair.
     """
@@ -317,32 +317,24 @@ def _zero_thresholds(heaviest: np.ndarray, n_rounds: int) -> np.ndarray:
     return level << np.uint64(11)
 
 
-def _zero_test(hashes: np.ndarray, probs: np.ndarray, n_rounds: int):
-    """Per pair, its keyed uniform ``(h >> 11) * 2**-53``, its log zero-count
-    probability ``n log1p(-p)``, and whether its count may be nonzero: the
-    uniform is at or above q0, or q0 underflows and a Philox stream draws."""
-    u = (hashes >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    log_q0 = n_rounds * np.log1p(-probs)
-    return u, log_q0, (u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN)
+def _binomial_counts(base_key: int, weights: np.ndarray, i: np.ndarray,
+                     j: np.ndarray, u: np.ndarray, n_rounds: int) -> np.ndarray:
+    """Exact Binomial(n_rounds, p = w_i w_j) count per candidate pair (i, j).
 
-
-def _binomial_counts(base_key: int, hashes: np.ndarray, i: np.ndarray,
-                     j: np.ndarray, n_rounds: int, probs: np.ndarray) -> np.ndarray:
-    """Exact Binomial(n_rounds, p) count per pair from its keyed stream.
-
-    Counts come from inverse-CDF inversion of one uniform per pair, the top
-    53 bits of its 64-bit keyed hash in ``hashes``, ``(h >> 11) * 2**-53``;
-    a pair whose zero-count probability underflows instead draws from its
-    own Philox stream keyed by (base_key, i, j).  Either way the value
-    depends only on (base_key, i, j, n_rounds, p).
+    Each candidate's keyed uniform in ``u`` is at or above its zero-count
+    probability ``q0 = (1 - p)^n``, so inverse-CDF inversion gives it a count
+    of at least one, unless q0 underflows: then the pair draws from its own
+    Philox stream keyed by (base_key, i, j), and may draw zero.  Either way
+    the value depends only on (base_key, i, j, n_rounds, p).
     """
-    counts = np.zeros(probs.size, dtype=np.int64)
-    u, log_q0, live = _zero_test(hashes, probs, n_rounds)
+    probs = weights[i] * weights[j]
+    log_q0 = n_rounds * np.log1p(-probs)
     big = log_q0 < _LOG_PMF0_MIN
+    counts = np.zeros(probs.size, dtype=np.int64)
 
     # k, the steps every alive pair has taken, is a float: the counts depend
     # on n_rounds - k rounding to a double when n_rounds >= 2**53
-    alive = np.flatnonzero(live & ~big)
+    alive = np.flatnonzero(~big)
     ratio = probs[alive] / (1.0 - probs[alive])
     pmf = np.exp(log_q0[alive])
     cdf = pmf.copy()
@@ -372,9 +364,10 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     most ``_HASH_BLOCK`` pairs.  A hash below the row's :func:`_zero_thresholds`
     entry puts the pair's keyed uniform below the zero-count level of the
     row's heaviest pair, at most the pair's own, so its count is zero for
-    certain.  The other pairs take :func:`_zero_test`, and those that can have
-    a nonzero count, with their hashes, reach one :func:`_binomial_counts`
-    call, whose counts depend on nothing but the pair: those of every pair.
+    certain.  The others get their keyed uniform ``(h >> 11) * 2**-53`` and
+    the exact zero test, and those that can have a nonzero count reach one
+    :func:`_binomial_counts` call with their uniforms, whose counts depend on
+    nothing but the pair: those of every pair.
     """
     weights = measure.weights
     k = weights.size
@@ -391,12 +384,14 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
         i, j = _row_pairs(lens, start, stop)
         h = pair_hashes(keys[i], j)
         kept = np.flatnonzero(h >= zero_below[i])
-        i, j, h = i[kept], j[kept], h[kept]
-        kept = np.flatnonzero(_zero_test(h, weights[i] * weights[j], delta_rounds)[2])
-        parts.append((i[kept], j[kept], h[kept]))
-    i, j, h = (np.concatenate(part) for part in zip(*parts))
+        i, j = i[kept], j[kept]
+        u = (h[kept] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        log_q0 = delta_rounds * np.log1p(-(weights[i] * weights[j]))
+        kept = np.flatnonzero((u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN))
+        parts.append((i[kept], j[kept], u[kept]))
+    i, j, u = (np.concatenate(part) for part in zip(*parts))
     del parts  # freed before the binomial pass
-    counts = _binomial_counts(base_key, h, i, j, delta_rounds, weights[i] * weights[j])
+    counts = _binomial_counts(base_key, weights, i, j, u, delta_rounds)
     nz = np.flatnonzero(counts)
     return EdgeCounts(np.stack((i[nz], j[nz])), counts[nz])
 

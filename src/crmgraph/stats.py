@@ -30,7 +30,6 @@ from .measures import check_integer
 
 __all__ = [
     "GraphStats",
-    "StatsConsistencyError",
     "degrees",
     "triangles",
     "summarize",
@@ -43,10 +42,6 @@ __all__ = [
 # live per block, so triangle counting memory follows this constant plus the
 # edges, not the number of wedges.
 _WEDGE_BLOCK = 1 << 14
-
-
-class StatsConsistencyError(RuntimeError):
-    """Internal cross-check failed; indicates an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -123,22 +118,13 @@ def triangles(graph: BinaryGraph) -> dict[int, int]:
 
 
 def summarize(graph: BinaryGraph, n_rounds: int) -> GraphStats:
-    """All snapshot statistics for a binary graph observed at ``n_rounds``.
-
-    The edge total is computed both as the adjacency size and as half the
-    degree sum; disagreement is an internal error, not bad input.
-    """
+    """All snapshot statistics for a binary graph observed at ``n_rounds``."""
     n_rounds = check_integer("n_rounds", n_rounds, 0, 2**63)
     vertex_ids, degree, tri = _degree_triangle_arrays(graph)
-    total_edges = len(graph.adjacency)
-    degree_sum = int(degree.sum())
-    if degree_sum != 2 * total_edges:
-        raise StatsConsistencyError(
-            f"degree sum {degree_sum} != twice edge count {total_edges}")
     return GraphStats(
         n_rounds=n_rounds,
         effective_vertices=int(vertex_ids.size),
-        total_edges=total_edges,
+        total_edges=len(graph.adjacency),
         degree_hist=_histogram(degree),
         triangle_hist=_histogram(tri),
     )

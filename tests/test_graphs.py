@@ -259,17 +259,16 @@ class TestPairBlocks:
 
 def reference_draw(weights, n_rounds, seed, epoch):
     """One epoch with no filter: every pair (i, j), i < j, in np.triu_indices
-    order, drawn by _binomial_counts in one call.  Returns the items of the
-    nonzero counts."""
+    order.  A pair whose scalar reference uniform lies below its zero-count
+    level draws zero; the others are drawn by _binomial_counts in one call.
+    Returns the items of the nonzero counts."""
     i, j = np.triu_indices(weights.size, 1)
-    probs = weights[i] * weights[j]
     base = derive_key(seed, epoch)
-    hashes = pair_hashes(row_keys(base, weights.size)[i], j)
-    counts = graphs._binomial_counts(base, hashes, i, j, n_rounds, probs)
-    # a pair whose keyed uniform lies below its zero-count level draws zero
-    log_q0 = n_rounds * np.log1p(-probs)
-    zero = (keyed_uniforms(base, i, j) < np.exp(log_q0)) & (log_q0 >= graphs._LOG_PMF0_MIN)
-    assert not counts[zero].any()
+    u = keyed_uniforms(base, i, j)
+    log_q0 = n_rounds * np.log1p(-(weights[i] * weights[j]))
+    live = np.flatnonzero((u >= np.exp(log_q0)) | (log_q0 < graphs._LOG_PMF0_MIN))
+    i, j = i[live], j[live]
+    counts = graphs._binomial_counts(base, weights, i, j, u[live], n_rounds)
     nz = np.flatnonzero(counts)
     return list(zip(zip(i[nz].tolist(), j[nz].tolist()), counts[nz].tolist()))
 
@@ -316,6 +315,39 @@ class TestHashFirst:
                 q0_one += level == 1.0
                 zero_rows += thresholds[row] == 0
         assert q0_one and zero_rows and philox_pairs
+
+    @pytest.mark.parametrize("name", ["fallback", "sampled"])
+    def test_count_pass_gets_only_pairs_that_can_be_edges(self, monkeypatch, name):
+        # each draw makes one count-pass call; every pair it hands over has its
+        # scalar reference uniform at or above q0, or a q0 that underflows,
+        # and only the Philox pairs among them, which both measures reach at
+        # N = 2000 and up, may come back with count zero
+        m = TestPairBlocks.case_measure(name)
+        count_pass = graphs._binomial_counts
+        calls, philox_pairs = [], 0
+
+        def checked(base_key, weights, i, j, u, n_rounds):
+            nonlocal philox_pairs
+            counts = count_pass(base_key, weights, i, j, u, n_rounds)
+            calls.append(n_rounds)
+            assert np.array_equal(u, keyed_uniforms(base_key, i, j))
+            log_q0 = n_rounds * np.log1p(-(weights[i] * weights[j]))
+            big = log_q0 < graphs._LOG_PMF0_MIN
+            assert (big | (u >= np.exp(log_q0))).all()
+            assert (counts[~big] >= 1).all()
+            philox_pairs += int(big.sum())
+            return counts
+
+        monkeypatch.setattr(graphs, "_binomial_counts", checked)
+        draws = []
+        for n in (50, 2000, 10**6):
+            generate(m, n, seed=4)
+            draws.append(n)
+        state = start_growth(m, seed=4)
+        for delta in (10, 10**4, 10**6):
+            state = extend(state, delta)
+            draws.append(delta)
+        assert calls == draws and philox_pairs
 
     @pytest.mark.parametrize("hash_block", [1, 3, 7, graphs._HASH_BLOCK])
     def test_draws_equal_every_pair_reference(self, hash_block):
