@@ -2,8 +2,10 @@
 
 The digests were taken from the code before the graph containers became
 sorted arrays, the stress-scale ``generate`` digests from the code before
-the draw walked atom pairs in index order, and the stress-scale ``extend``
-digests from the code before the zero test moved wholly into the draw.  A change that alters any of these
+the draw walked atom pairs in index order, the stress-scale ``extend``
+digests from the code before the zero test moved wholly into the draw, and
+the measure digests from the code before stick breaking kept one Philox
+generator per measure.  A change that alters any of these
 bytes on purpose (a new random stream, a new column) updates the digests here
 and says why.
 """
@@ -62,6 +64,35 @@ STRESS_GENERATE = {
 STRESS_EXTEND = {
     "pairs": "df3ab112b6dbac827da19ec6a94778ec2eb7b18cedbce23b396f2fcd88c978d7",
     "counts": "1ecdae89aeead64996bf9ba03a218464b3f3cec0d6b1f15880310c68ffc93dbc",
+}
+
+# Stick-breaking measures: (concentration, discount, mass), (rounds,
+# weight_floor, seed), then the sha256 of the weights and of the labels.
+# Criterion 4's floor-0 branch at two seeds, the bench stress measure, the
+# Johnk beta draws (both stick parameters below 1 in the first rounds) across
+# stick blocks in both branches, and seeds at the top of the 64-bit range.
+MEASURES = {
+    "floor0-seed0": ((1.0, 0.1, 3.0), (1000, 0.0, 0),
+                     "17a84e68bd8d9b9e0f6a7514c9599f549e8797ce6674c5b44c512605f136613a",
+                     "8db2ef5d0fdf9de776b8608756814e027e5985896875ccef0384833b10aa48da"),
+    "floor0-seed1": ((1.0, 0.1, 3.0), (1000, 0.0, 1),
+                     "181ebcd2ace1b9a79d29ba915d38a90683c6312326b6889d1a4c891386ff3c1d",
+                     "79de1037e1d343b6d8b6ae0360bcae3a4b75636aa3adff8dda317e5808b5f162"),
+    "stress-seed5": ((1.0, 0.5, 3.0), (2000, 1e-10, 5),
+                     "5ee56a7dbdaebd4a002e2181d10bb77c031b15219e19f0eef994acbc3be5218c",
+                     "0b074bbbd3e6450290b93a65d30e4675203c12bce6730b829dbde4ee928b473f"),
+    "johnk-floor0": ((0.3, 1 / 3, 3.0), (257, 0.0, 2),
+                     "9bf140efc022c283aeb80693f2d1212553d909a8092547c4b705cbbd1f389ea0",
+                     "495b7b3c78231e134bcc73629ab17ccb202dae38f0ea9415e9bd78ceb3c53b15"),
+    "johnk-floored": ((0.3, 1 / 3, 3.0), (300, 1e-10, 2),
+                      "8ba027ec7ba921b02a36076fa71404d1afcc691a9c47fba851afeb45a30f4a6f",
+                      "cea8d1da352767e7d267551b6a8f9b2fb0e185d78124dbca792a4447d23fdd21"),
+    "seed-2**63": ((1.0, 0.1, 3.0), (300, 0.0, 2**63),
+                   "1e4c2d21c495ae6b8a1eabd0560830b5fa6090c576d3d4e641a38bc25974eec3",
+                   "69632415629050dcf0ac0bfeb3da63f7cc666154c4998638c60302e17a0223dc"),
+    "seed-2**64-1": ((1.0, 0.1, 3.0), (1000, 1e-10, 2**64 - 1),
+                     "c0f50aace316610c53a3cebab6d26a25e55f4d42fde931fe7dd55d62481b75d6",
+                     "ff36be8eaa16bf3653307ec6e45ae00705e263fca806916f9d8ab00df182d53f"),
 }
 
 
@@ -133,3 +164,11 @@ def test_stress_scale_extend(stress_measure, philox_calls):
     state = graphs.extend(state, 8 * 10**5)
     assert state.n_rounds == 10**6 and philox_calls
     assert array_digests(state.graph.edge_counts) == STRESS_EXTEND
+
+
+@pytest.mark.parametrize("name", MEASURES)
+def test_measure_bytes(name):
+    params, config, weights, labels = MEASURES[name]
+    measure = sample_three_param_bp(BetaProcessParams(*params), StickBreakingConfig(*config))
+    assert [hashlib.sha256(a.tobytes()).hexdigest()
+            for a in (measure.weights, measure.labels)] == [weights, labels]
