@@ -7,6 +7,11 @@ and each atom's weight is its round-``i`` stick times the product of the
 complements of its earlier sticks, with stick ``l`` drawn from
 ``Beta(1 - discount, concentration + l * discount)``.  Setting the discount
 to zero recovers the plain beta process.
+
+Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``.  One
+generator per measure is re-keyed to that stream at the start of each round
+(``rng.rekey``), its key taken from ``rng.philox_round_keys``; both keep the
+key numpy stores, whose float64 rounding lives in ``rng.stored_philox_keys``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import ParameterError, column, read_csv, write_csv
-from .rng import philox
+from .rng import philox_round_keys, rekey
 
 __all__ = [
     "ParameterError",
@@ -42,6 +47,10 @@ MAX_MASS = 100.0
 # positive weight floor can stop drawing once no atom in the round can stay
 # above it.
 _STICK_CHUNK = 128
+
+# Round keys are computed this many rounds at a time, so nothing is sized by
+# cfg.rounds, which may be up to 2**63.
+_KEY_CHUNK = 4096
 
 _MEASURE_HEADER = ("atom_id", "weight", "label")
 
@@ -167,27 +176,27 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _round_atoms(params: BetaProcessParams, cfg: StickBreakingConfig,
-                 round_index: int) -> tuple[np.ndarray, np.ndarray]:
+def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.Generator,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights and labels of the atoms spawned in one round.
 
-    Stream layout per round: one Poisson count, then the labels, then the
-    stick matrix in fixed column blocks, so emitted values never depend on
-    how many blocks were actually needed.  Every floor reads the same stream
-    and multiplies the same way, so a positive floor is a pure filter on the
-    floor-0 atoms.
+    ``rng`` is keyed for the round, and ``b`` holds its stick parameters
+    ``b[l - 1] = concentration + l * discount`` for l up to the round index,
+    ``b.size``.  Stream layout per round: one Poisson count, then the labels,
+    then the stick matrix in fixed column blocks, so emitted values never
+    depend on how many blocks were actually needed.  Every floor reads the
+    same stream and multiplies the same way, so a positive floor is a pure
+    filter on the floor-0 atoms.
     """
-    rng = philox(cfg.seed, round_index)
     count = int(rng.poisson(params.mass))
     if count == 0:
         return np.empty(0), np.empty(0)
     labels = rng.random(count)
 
     a = 1.0 - params.discount
-    b = params.concentration + params.discount * np.arange(1, round_index + 1,
-                                                           dtype=np.float64)
+    round_index = b.size
     last = (round_index - 1) // _STICK_CHUNK * _STICK_CHUNK  # final block's first column
-    if cfg.weight_floor == 0.0:
+    if weight_floor == 0.0:
         # nothing can be dropped early, so draw every stick in one call, its
         # parameters laid out in the order the block loop below reads the
         # stream; the products then associate exactly as in that loop
@@ -196,21 +205,23 @@ def _round_atoms(params: BetaProcessParams, cfg: StickBreakingConfig,
         head[...] = b[:last].reshape(-1, 1, _STICK_CHUNK)
         layout[count * last:].reshape(count, -1)[...] = b[last:]
         sticks = rng.beta(a, layout)
-        prod = (1.0 - sticks[:head.size].reshape(head.shape)).prod(axis=2).prod(axis=0)
+        head = sticks[:head.size].reshape(head.shape)
+        prod = np.subtract(1.0, head, out=head).prod(axis=2).prod(axis=0)
         sticks = sticks[head.size:].reshape(count, -1)
     else:
         prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
         for start in range(0, last, _STICK_CHUNK):
             sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
-            prod *= (1.0 - sticks).prod(axis=1)
+            prod *= np.subtract(1.0, sticks, out=sticks).prod(axis=1)
             # prod only shrinks from here and the final stick is < 1, so once
             # every atom is under the floor the whole round is dropped
-            if prod.max() < cfg.weight_floor:
+            if prod.max() < weight_floor:
                 return np.empty(0), np.empty(0)
         sticks = rng.beta(a, b[last:], size=(count, round_index - last))
-    weight = prod * (1.0 - sticks[:, :-1]).prod(axis=1) * sticks[:, -1]
+    rest = sticks[:, :-1]
+    weight = prod * np.subtract(1.0, rest, out=rest).prod(axis=1) * sticks[:, -1]
 
-    keep = (weight > 0.0) & (weight < 1.0) & (weight >= cfg.weight_floor)
+    keep = (weight > 0.0) & (weight < 1.0) & (weight >= weight_floor)
     return weight[keep], labels[keep]
 
 
@@ -231,12 +242,18 @@ def sample_three_param_bp(params: BetaProcessParams,
         independent of any round-level parallelism because each round reads
         its own stream keyed by (seed, round).
     """
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed before every round
+    b = np.empty(0)
     all_w, all_l = [], []
-    for i in range(1, cfg.rounds + 1):
-        w, lab = _round_atoms(params, cfg, i)
-        if w.size:
-            all_w.append(w)
-            all_l.append(lab)
+    for first in range(1, cfg.rounds + 1, _KEY_CHUNK):
+        keys = philox_round_keys(cfg.seed, first, min(_KEY_CHUNK, cfg.rounds + 1 - first))
+        b = np.concatenate((b, params.concentration + params.discount
+                            * np.arange(b.size + 1, first + len(keys), dtype=np.float64)))
+        for i, key in enumerate(keys, first):
+            w, lab = _round_atoms(params, cfg.weight_floor, rekey(rng, key), b[:i])
+            if w.size:
+                all_w.append(w)
+                all_l.append(lab)
     if all_w:
         weights = np.concatenate(all_w)
         labels = np.concatenate(all_l)

@@ -75,11 +75,57 @@ def pair_hashes(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
 def philox(*key_fields: int) -> np.random.Generator:
     """A numpy Generator on a Philox stream keyed by the given integers.
 
-    numpy reads a key tuple with one half at or above 2**63 and one below as
-    float64, so about half the keys lose low bits (``derive_key(3, 5)`` =
-    14871207630202690639 is kept as 14871207630202691584).  A uint64 key
-    array would mend it and change every stream, so it waits for a change
-    that alters the streams anyway."""
+    The key is (lo, hi) = (``derive_key(*key_fields)``, ``derive_key(lo,
+    *key_fields)``) as :func:`stored_philox_keys` rounds it."""
     lo = derive_key(*key_fields)
     hi = derive_key(lo, *key_fields)
-    return np.random.Generator(np.random.Philox(key=(lo, hi)))
+    key = stored_philox_keys(np.array([[lo, hi]], dtype=np.uint64))[0]
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def stored_philox_keys(keys: np.ndarray) -> np.ndarray:
+    """Round in place each (lo, hi) row of an (n, 2) uint64 array to the key
+    ``np.random.Philox(key=(lo, hi))`` stores for a tuple of Python ints.
+
+    numpy reads a tuple with one half at or above 2**63 and one below as
+    float64, so such a row keeps both halves rounded to 53 significant bits
+    (``derive_key(3, 5)`` = 14871207630202690639 is kept as
+    14871207630202691584); the other rows, about half, are kept exactly.
+    Dropping the rounding would change every stream, so it waits for a change
+    that alters the streams anyway."""
+    straddle = (keys[:, 0] ^ keys[:, 1]) >= np.uint64(1 << 63)
+    keys[straddle] = keys[straddle].astype(np.float64).astype(np.uint64)
+    return keys
+
+
+def philox_round_keys(seed: int, first: int, count: int) -> np.ndarray:
+    """The stored keys of ``philox(seed, r)`` for the ``count`` rounds r from
+    ``first`` on, as a (count, 2) uint64 array: the scalar chain of
+    :func:`philox` run by :func:`mix64_array` over all the rounds at once."""
+    rounds = np.arange(count, dtype=np.uint64) + np.uint64(first)
+    keys = np.empty((count, 2), dtype=np.uint64)
+    lo, hi = keys[:, 0], keys[:, 1]
+    mix64_array(np.uint64(mix64(seed)) ^ rounds, out=lo)
+    mix64_array(lo, out=hi)
+    hi ^= np.uint64(seed)
+    mix64_array(hi, out=hi)
+    hi ^= rounds
+    mix64_array(hi, out=hi)
+    return stored_philox_keys(keys)
+
+
+# A Philox counter, and its output buffer, before the first draw.
+_PHILOX_START = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """Put the Philox generator ``rng`` in the state a new
+    ``np.random.Philox(key=key)`` starts in, whatever it has drawn: counter
+    0, the given stored key, an empty buffer and no spare 32-bit half.  It
+    then draws what ``philox`` draws for that key, without building a
+    generator."""
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _PHILOX_START, "key": key},
+                               "buffer": _PHILOX_START, "buffer_pos": _PHILOX_START.size,
+                               "has_uint32": 0, "uinteger": 0}
+    return rng

@@ -9,6 +9,7 @@ from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, _round_atoms, check_integer, check_real,
                                rate_density, read_measure_csv, sample_three_param_bp,
                                write_measure_csv)
+from crmgraph.rng import philox
 
 STD_PARAMS = BetaProcessParams(concentration=1.0, discount=0.1, mass=3.0)
 
@@ -206,6 +207,16 @@ class TestSampler:
         result = st.kstest(weights[:10_000], st.beta(0.9, 1.1).cdf)
         assert result.pvalue > 0.01
 
+    def test_one_bit_generator_per_measure(self, monkeypatch):
+        # one generator is re-keyed for each round, not built per round
+        made = []
+        for name in ("Philox", "Generator"):
+            cls = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name, lambda *args, name=name, cls=cls, **kw:
+                                made.append(name) or cls(*args, **kw))
+        measure = sample_three_param_bp(STD_PARAMS, cfg(1000))
+        assert sorted(made) == ["Generator", "Philox"] and len(measure) > 2000
+
     def test_chunk_crossing_round_mass_matches_analytic_mean(self):
         # round 140 needs two stick chunks; its expected mass has a closed
         # form from the independent beta means
@@ -213,9 +224,9 @@ class TestSampler:
         expected = g * (1 - a) / (1 + t + i * a - a)
         for ell in range(1, i):
             expected *= (t + ell * a) / (1 + t + ell * a - a)
-        vals = np.array([
-            _round_atoms(STD_PARAMS, cfg(i, seed=s), i)[0].sum()
-            for s in range(4000)])
+        b = t + a * np.arange(1, i + 1)
+        vals = np.array([_round_atoms(STD_PARAMS, 0.0, philox(s, i), b)[0].sum()
+                         for s in range(4000)])
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - expected) < 4.0 * se
 
