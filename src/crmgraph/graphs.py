@@ -15,15 +15,16 @@ Most pairs draw a zero count, and the draw finds that out cheaply.  A pair's
 count is zero exactly when its keyed uniform ``(h >> 11) * 2**-53``, where h
 is the pair's 64-bit hash, lies below its zero-count probability
 ``q0 = (1 - p)^n``; pairs whose q0 underflows draw from their own Philox
-stream instead.  Row i pairs atom i with every later atom, so each pair of
-the row has q0 at least that of atom i with the heaviest atom after it.  A
-hash below that level, less a margin far wider than the rounding of log1p
-and exp, is a zero count for certain, found by one integer compare.  The
-other pairs get their uniform and the exact zero test in the same block, and
-only those that can be edges reach the count pass, which gives each the
-count it would get if every pair ran it, so the graph does not depend on
-the filters.  Rows go in index order, so the edges come out sorted by
-(i, j).  No pair is left out, however light: each costs at least its hash.
+stream, served by ``rng.philox_streams``, instead.  Row i pairs atom i with
+every later atom, so each pair of the row has q0 at least that of atom i
+with the heaviest atom after it.  A hash below that level, less a margin
+far wider than the rounding of log1p and exp, is a zero count for certain,
+found by one integer compare.  The other pairs get their uniform and the
+exact zero test in the same block, and only those that can be edges reach
+the count pass, which gives each the count it would get if every pair ran
+it, so the graph does not depend on the filters.  Rows go in index order,
+so the edges come out sorted by (i, j).  No pair is left out, however
+light: each costs at least its hash.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .fileio import column, read_csv, write_csv
 from .measures import AtomicMeasure, ParameterError, check_integer
-from .rng import derive_key, pair_hashes, philox, row_keys
+from .rng import derive_key, pair_hashes, philox, philox_streams, row_keys
 
 __all__ = [
     "MultiGraph",
@@ -323,9 +324,11 @@ def _binomial_counts(base_key: int, weights: np.ndarray, i: np.ndarray,
 
     Each candidate's keyed uniform in ``u`` is at or above its zero-count
     probability ``q0 = (1 - p)^n``, so inverse-CDF inversion gives it a count
-    of at least one, unless q0 underflows: then the pair draws from its own
-    Philox stream keyed by (base_key, i, j), and may draw zero.  Either way
-    the value depends only on (base_key, i, j, n_rounds, p).
+    of at least one, unless q0 underflows: then the pair draws from the
+    Philox stream keyed by (base_key, i, j) that ``rng.philox_streams``
+    serves, and may draw zero.  The indices go first in the ``zip``, so a
+    draw with no such pair opens no stream.  Either way the value depends
+    only on (base_key, i, j, n_rounds, p).
     """
     probs = weights[i] * weights[j]
     log_q0 = n_rounds * np.log1p(-probs)
@@ -349,8 +352,7 @@ def _binomial_counts(base_key: int, weights: np.ndarray, i: np.ndarray,
         keep = ~done
         alive, pmf, cdf, ua, ratio = alive[keep], pmf[keep], cdf[keep], ua[keep], ratio[keep]
 
-    for idx in np.flatnonzero(big):
-        rng = philox(base_key, int(i[idx]), int(j[idx]))
+    for idx, rng in zip(np.flatnonzero(big), philox_streams(base_key, i[big], j[big])):
         counts[idx] = rng.binomial(n_rounds, probs[idx])
     return counts
 

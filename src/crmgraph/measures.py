@@ -8,10 +8,9 @@ complements of its earlier sticks, with stick ``l`` drawn from
 ``Beta(1 - discount, concentration + l * discount)``.  Setting the discount
 to zero recovers the plain beta process.
 
-Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``.  One
-generator per measure is re-keyed to that stream at the start of each round
-(``rng.rekey``), its key taken from ``rng.philox_round_keys``; both keep the
-key numpy stores, whose float64 rounding lives in ``rng.stored_philox_keys``.
+Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``, served by
+``rng.philox_streams`` from the keys ``rng.philox_keys`` computes for a chunk
+of rounds at once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import ParameterError, column, read_csv, write_csv
-from .rng import philox_round_keys, rekey
+from .rng import philox_streams
 
 __all__ = [
     "ParameterError",
@@ -242,15 +241,14 @@ def sample_three_param_bp(params: BetaProcessParams,
         independent of any round-level parallelism because each round reads
         its own stream keyed by (seed, round).
     """
-    rng = np.random.Generator(np.random.Philox(0))  # re-keyed before every round
     b = np.empty(0)
     all_w, all_l = [], []
     for first in range(1, cfg.rounds + 1, _KEY_CHUNK):
-        keys = philox_round_keys(cfg.seed, first, min(_KEY_CHUNK, cfg.rounds + 1 - first))
+        rounds = np.arange(first, min(first + _KEY_CHUNK, cfg.rounds + 1), dtype=np.uint64)
         b = np.concatenate((b, params.concentration + params.discount
-                            * np.arange(b.size + 1, first + len(keys), dtype=np.float64)))
-        for i, key in enumerate(keys, first):
-            w, lab = _round_atoms(params, cfg.weight_floor, rekey(rng, key), b[:i])
+                            * np.arange(b.size + 1, first + rounds.size, dtype=np.float64)))
+        for i, rng in enumerate(philox_streams(cfg.seed, rounds), first):
+            w, lab = _round_atoms(params, cfg.weight_floor, rng, b[:i])
             if w.size:
                 all_w.append(w)
                 all_l.append(lab)

@@ -72,46 +72,46 @@ def pair_hashes(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
     return mix64_array(h, out=h)
 
 
-def philox(*key_fields: int) -> np.random.Generator:
-    """A numpy Generator on a Philox stream keyed by the given integers.
+def philox_keys(*key_fields) -> np.ndarray:
+    """The stored Philox keys of the broadcast of the integer arrays
+    ``key_fields`` (read as uint64, so a Python int outside [0, 2**64)
+    raises), one (lo, hi) row of an (n, 2) uint64 array per element.
 
-    The key is (lo, hi) = (``derive_key(*key_fields)``, ``derive_key(lo,
-    *key_fields)``) as :func:`stored_philox_keys` rounds it."""
-    lo = derive_key(*key_fields)
-    hi = derive_key(lo, *key_fields)
-    key = stored_philox_keys(np.array([[lo, hi]], dtype=np.uint64))[0]
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def stored_philox_keys(keys: np.ndarray) -> np.ndarray:
-    """Round in place each (lo, hi) row of an (n, 2) uint64 array to the key
-    ``np.random.Philox(key=(lo, hi))`` stores for a tuple of Python ints.
-
-    numpy reads a tuple with one half at or above 2**63 and one below as
-    float64, so such a row keeps both halves rounded to 53 significant bits
-    (``derive_key(3, 5)`` = 14871207630202690639 is kept as
+    lo is ``derive_key(*fields)`` and hi ``derive_key(lo, *fields)``, run by
+    :func:`mix64_array` over all the elements at once, and each row is
+    rounded to the key ``np.random.Philox(key=(lo, hi))`` stores for a tuple
+    of Python ints: numpy reads a tuple with one half at or above 2**63 and
+    one below as float64, so such a row keeps both halves rounded to 53
+    significant bits (``derive_key(3, 5)`` = 14871207630202690639 is kept as
     14871207630202691584); the other rows, about half, are kept exactly.
-    Dropping the rounding would change every stream, so it waits for a change
-    that alters the streams anyway."""
-    straddle = (keys[:, 0] ^ keys[:, 1]) >= np.uint64(1 << 63)
+    Dropping the rounding would change every stream, so it waits for a
+    change that alters the streams anyway."""
+    fields = [np.asarray(f, dtype=np.uint64) for f in key_fields]
+    fields = [f.ravel() for f in np.broadcast_arrays(*fields)]
+    keys = np.zeros((fields[0].size, 2), dtype=np.uint64)
+    lo, hi = keys[:, 0], keys[:, 1]
+    for half, chain in ((lo, fields), (hi, [lo, *fields])):
+        for f in chain:
+            half ^= f
+            mix64_array(half, out=half)
+    straddle = (lo ^ hi) >= np.uint64(1 << 63)
     keys[straddle] = keys[straddle].astype(np.float64).astype(np.uint64)
     return keys
 
 
-def philox_round_keys(seed: int, first: int, count: int) -> np.ndarray:
-    """The stored keys of ``philox(seed, r)`` for the ``count`` rounds r from
-    ``first`` on, as a (count, 2) uint64 array: the scalar chain of
-    :func:`philox` run by :func:`mix64_array` over all the rounds at once."""
-    rounds = np.arange(count, dtype=np.uint64) + np.uint64(first)
-    keys = np.empty((count, 2), dtype=np.uint64)
-    lo, hi = keys[:, 0], keys[:, 1]
-    mix64_array(np.uint64(mix64(seed)) ^ rounds, out=lo)
-    mix64_array(lo, out=hi)
-    hi ^= np.uint64(seed)
-    mix64_array(hi, out=hi)
-    hi ^= rounds
-    mix64_array(hi, out=hi)
-    return stored_philox_keys(keys)
+def philox(*key_fields: int) -> np.random.Generator:
+    """A numpy Generator on the Philox stream keyed by :func:`philox_keys`."""
+    return np.random.Generator(np.random.Philox(key=philox_keys(*key_fields)[0]))
+
+
+def philox_streams(*key_fields):
+    """Yield, in order, the stream :func:`philox` gives each element of the
+    broadcast of the integer arrays ``key_fields``: one generator, re-keyed by
+    :func:`rekey` before each yield, so a stream is valid only until the next
+    one is requested."""
+    rng = np.random.Generator(np.random.Philox(0))
+    for key in philox_keys(*key_fields):
+        yield rekey(rng, key)
 
 
 # A Philox counter, and its output buffer, before the first draw.

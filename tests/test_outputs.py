@@ -13,6 +13,7 @@ and says why.
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crmgraph import experiment, graphs
@@ -106,18 +107,27 @@ def test_desk_sweep_at_seed_0(tmp_path):
     assert digests(tmp_path, SWEEP_FILES) == DESK_SEED_0
 
 
-def test_independent_sweep_through_the_philox_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv(experiment.THREADS_ENV, "1")  # counted in this process
-    calls = []
-    philox = graphs.philox
+@pytest.fixture
+def fallback_streams(monkeypatch):
+    """The fallback pairs' streams: one entry per stream that
+    ``graphs.philox_streams`` yields, which is called once per draw even when
+    no pair falls back."""
+    streams = []
+    opener = graphs.philox_streams
 
     def counting(*fields):
-        calls.append(fields)
-        return philox(*fields)
+        for rng in opener(*fields):
+            streams.append(rng)
+            yield rng
 
-    monkeypatch.setattr(graphs, "philox", counting)
+    monkeypatch.setattr(graphs, "philox_streams", counting)
+    return streams
+
+
+def test_independent_sweep_through_the_philox_fallback(tmp_path, monkeypatch, fallback_streams):
+    monkeypatch.setenv(experiment.THREADS_ENV, "1")  # counted in this process
     run_sweep(replace(FALLBACK_SWEEP, out_dir=str(tmp_path)))
-    assert calls
+    assert len(fallback_streams) > 0
     assert digests(tmp_path, SWEEP_FILES) == FALLBACK
 
 
@@ -140,29 +150,32 @@ def stress_measure():
                                  StickBreakingConfig(rounds=1200, seed=1))
 
 
-@pytest.fixture
-def philox_calls(monkeypatch):
-    calls = []
-    philox = graphs.philox
-    monkeypatch.setattr(graphs, "philox", lambda *fields: calls.append(fields) or philox(*fields))
-    return calls
-
-
 def array_digests(edges):
     return {name: hashlib.sha256(getattr(edges, name).tobytes()).hexdigest()
             for name in ("pairs", "counts")}
 
 
-def test_stress_scale_generate(stress_measure, philox_calls):
+def test_stress_scale_generate(stress_measure, fallback_streams):
     edges = graphs.generate(stress_measure, 10**6, seed=1).edge_counts
-    assert len(stress_measure) >= 3000 and philox_calls
+    assert len(stress_measure) >= 3000 and len(fallback_streams) == 822
     assert array_digests(edges) == STRESS_GENERATE
 
 
-def test_stress_scale_extend(stress_measure, philox_calls):
+def test_one_bit_generator_per_draw(stress_measure, monkeypatch):
+    # the 822 fallback pairs of the stress draw share one re-keyed generator
+    made = []
+    for name in ("Philox", "Generator"):
+        cls = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name, lambda *args, name=name, cls=cls, **kw:
+                            made.append(name) or cls(*args, **kw))
+    graphs.generate(stress_measure, 10**6, seed=1)
+    assert sorted(made) == ["Generator", "Philox"]
+
+
+def test_stress_scale_extend(stress_measure, fallback_streams):
     state = graphs.extend(graphs.start_growth(stress_measure, 1), 2 * 10**5)
     state = graphs.extend(state, 8 * 10**5)
-    assert state.n_rounds == 10**6 and philox_calls
+    assert state.n_rounds == 10**6 and len(fallback_streams) > 0
     assert array_digests(state.graph.edge_counts) == STRESS_EXTEND
 
 
