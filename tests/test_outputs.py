@@ -71,7 +71,9 @@ STRESS_EXTEND = {
 # weight_floor, seed), then the sha256 of the weights and of the labels.
 # Criterion 4's floor-0 branch at two seeds, the bench stress measure, the
 # Johnk beta draws (both stick parameters below 1 in the first rounds) across
-# stick blocks in both branches, and seeds at the top of the 64-bit range.
+# stick blocks in both branches, seeds at the top of the 64-bit range, and
+# floors at which rounds stop early, draw whole, or draw blocks one by one
+# and then the rest in one call (mixed-*).
 MEASURES = {
     "floor0-seed0": ((1.0, 0.1, 3.0), (1000, 0.0, 0),
                      "17a84e68bd8d9b9e0f6a7514c9599f549e8797ce6674c5b44c512605f136613a",
@@ -94,6 +96,18 @@ MEASURES = {
     "seed-2**64-1": ((1.0, 0.1, 3.0), (1000, 1e-10, 2**64 - 1),
                      "c0f50aace316610c53a3cebab6d26a25e55f4d42fde931fe7dd55d62481b75d6",
                      "ff36be8eaa16bf3653307ec6e45ae00705e263fca806916f9d8ab00df182d53f"),
+    "mixed-d0.25-seed0": ((1.0, 0.25, 3.0), (1000, 1e-6, 0),
+                          "36171035df84644a5d09e2a91461d6a13b074eab43a25041c47930adf33aba72",
+                          "c1f400769a7c6f29a1f946d798427adb65236ef03e99eeb0b9d0f3a3383d2816"),
+    "mixed-d0.25-seed1": ((1.0, 0.25, 3.0), (1000, 1e-6, 1),
+                          "6261d89b8c54e679d8eddb5c91e8cae0117ccf8747a125eb67bd4caded6455f3",
+                          "cec292d28f02277b67e49f9ef08f75f267a10aa999087feb7804fea861817ca4"),
+    "mixed-d0.1-seed0": ((1.0, 0.1, 3.0), (1000, 1e-16, 0),
+                         "6170cef2051d6d367d637a180d7d067ef4186cb23bef074ea38ea7ca9fc0d51a",
+                         "a80c3fe698e4b969793609ef20b0db20f9a8d496ece805d5db34a5df18f2ccb6"),
+    "mixed-d0.1-seed1": ((1.0, 0.1, 3.0), (1000, 1e-16, 1),
+                         "abc18088996aa422859421b5e7f7eaf2fc1682caed10f00d1ac862494c2cc38b",
+                         "572f216c5dbec4c06da4921fdda0ed7e7ca265f6754fc4213cc60387a5251298"),
 }
 
 
