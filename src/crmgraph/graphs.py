@@ -363,13 +363,17 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     (i, j), and their counts.
 
     Row i pairs atom i with every later atom; rows are hashed in blocks of at
-    most ``_HASH_BLOCK`` pairs.  A hash below the row's :func:`_zero_thresholds`
-    entry puts the pair's keyed uniform below the zero-count level of the
-    row's heaviest pair, at most the pair's own, so its count is zero for
-    certain.  The others get their keyed uniform ``(h >> 11) * 2**-53`` and
-    the exact zero test, and those that can have a nonzero count reach one
-    :func:`_binomial_counts` call with their uniforms, whose counts depend on
-    nothing but the pair: those of every pair.
+    most ``_HASH_BLOCK`` pairs, one :func:`pair_hashes` call per block over
+    exactly its pairs.  A block repeats each row's key and zero threshold
+    along the row, takes j from the rows' column slices, and finds i only for
+    the pairs that pass the row filter.  A hash below the row's
+    :func:`_zero_thresholds` entry puts the pair's keyed uniform below the
+    zero-count level of the row's heaviest pair, at most the pair's own, so
+    its count is zero for certain.  The others get their keyed uniform
+    ``(h >> 11) * 2**-53`` and the exact zero test, and those that can have a
+    nonzero count reach one :func:`_binomial_counts` call with their
+    uniforms, whose counts depend on nothing but the pair: those of every
+    pair.
     """
     weights = measure.weights
     k = weights.size
@@ -381,13 +385,16 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     # row i's heaviest pair joins atom i to the heaviest atom after it
     after = np.append(np.maximum.accumulate(weights[::-1])[-2::-1], 0.0)
     zero_below = _zero_thresholds(weights * after, delta_rounds)
+    cols = np.arange(k, dtype=np.uint64)  # uint64, so pair_hashes reads j in place
     parts = []
     for start, stop in _row_blocks(lens, _HASH_BLOCK):
-        i, j = _row_pairs(lens, start, stop)
-        h = pair_hashes(keys[i], j)
-        kept = np.flatnonzero(h >= zero_below[i])
+        row_lens = lens[start:stop]
+        j = np.concatenate([cols[a + 1:] for a in range(start, stop)])
+        h = pair_hashes(np.repeat(keys[start:stop], row_lens), j)
+        kept = np.flatnonzero(h >= np.repeat(zero_below[start:stop], row_lens))
+        i = start + np.cumsum(row_lens).searchsorted(kept, side="right")
         # rebinding h frees the block's hashes first (held, they add 3 MB to stress peak RSS)
-        i, j, h = i[kept], j[kept], h[kept]
+        j, h = j[kept].view(np.int64), h[kept]
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
         log_q0 = delta_rounds * np.log1p(-(weights[i] * weights[j]))
         kept = np.flatnonzero((u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN))

@@ -10,7 +10,11 @@ to zero recovers the plain beta process.
 
 Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``, served by
 ``rng.philox_streams`` from the keys ``rng.philox_keys`` computes for a chunk
-of rounds at once.
+of rounds at once.  A round draws its sticks in column blocks, one block per
+``rng.beta`` call while a positive weight floor may still drop the whole
+round, and every remaining block in one call once the expected decay of its
+heaviest atom says it will not; the schedule changes the cost of a round,
+never its values.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ __all__ = [
 # many atoms that pair enumeration downstream stops being desk-scale.
 MAX_MASS = 100.0
 
-# Sticks are drawn in column blocks of this many rounds at a time so that a
-# positive weight floor can stop drawing once no atom in the round can stay
-# above it.
+# Sticks are laid out in column blocks of this many rounds.  A round that a
+# positive weight floor may stop early draws one block per call and checks
+# the floor after each; the rest of the round goes in one call.
 _STICK_CHUNK = 128
 
 # Round keys are computed this many rounds at a time, so nothing is sized by
@@ -175,17 +179,31 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
+def _one_call(top: float, log_decay: float, weight_floor: float) -> bool:
+    """Whether a round draws all its remaining sticks in one call: the
+    heaviest atom's running product ``top``, times ``exp(log_decay)``, the
+    typical product of the complements still to come, is at or above the
+    floor, so no early stop is expected.  Always true at floor 0."""
+    return top * math.exp(log_decay) >= weight_floor
+
+
 def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.Generator,
-                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 b: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights and labels of the atoms spawned in one round.
 
     ``rng`` is keyed for the round, and ``b`` holds its stick parameters
     ``b[l - 1] = concentration + l * discount`` for l up to the round index,
-    ``b.size``.  Stream layout per round: one Poisson count, then the labels,
-    then the stick matrix in fixed column blocks, so emitted values never
-    depend on how many blocks were actually needed.  Every floor reads the
-    same stream and multiplies the same way, so a positive floor is a pure
-    filter on the floor-0 atoms.
+    ``b.size``; ``decay[l]`` is the expected log of the product of the
+    complements of sticks 1..l, ``E[log(1 - stick)]`` summed over ``b[:l]``.
+    Stream layout per round: one Poisson count, then the labels, then the
+    stick matrix in fixed column blocks, so emitted values never depend on
+    how many blocks were actually needed.  Before each block the round
+    either draws that block alone and stops once no atom can stay above the
+    floor, or, when :func:`_one_call` expects no stop, draws every remaining
+    block in one call laid out in the same stream order and folds their
+    products into the running product in block order.  Either way every
+    value and product is the same, so the schedule decides cost only, and a
+    positive floor is a pure filter on the floor-0 atoms.
     """
     count = int(rng.poisson(params.mass))
     if count == 0:
@@ -195,27 +213,33 @@ def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.
     a = 1.0 - params.discount
     round_index = b.size
     last = (round_index - 1) // _STICK_CHUNK * _STICK_CHUNK  # final block's first column
-    if weight_floor == 0.0:
-        # nothing can be dropped early, so draw every stick in one call, its
-        # parameters laid out in the order the block loop below reads the
-        # stream; the products then associate exactly as in that loop
-        layout = np.empty(count * round_index)
-        head = layout[:count * last].reshape(last // _STICK_CHUNK, count, _STICK_CHUNK)
-        head[...] = b[:last].reshape(-1, 1, _STICK_CHUNK)
-        layout[count * last:].reshape(count, -1)[...] = b[last:]
+    prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
+    top, start = 1.0, 0
+    while start < last and not _one_call(top, decay[-1] - decay[start], weight_floor):
+        sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
+        prod *= np.subtract(1.0, sticks, out=sticks).prod(axis=1)
+        # prod only shrinks from here and the final stick is < 1, so once
+        # every atom is under the floor the whole round is dropped
+        top = prod.max()
+        if top < weight_floor:
+            return np.empty(0), np.empty(0)
+        start += _STICK_CHUNK
+    if start < last:
+        # the rest in one call: the blocks' parameters laid out in the order
+        # the loop above reads the stream, then the final block's; the block
+        # products fold into prod in block order, as the loop would
+        layout = np.empty(count * (round_index - start))
+        head = layout[:count * (last - start)].reshape(-1, count, _STICK_CHUNK)
+        head[...] = b[start:last].reshape(-1, 1, _STICK_CHUNK)
+        layout[head.size:].reshape(count, -1)[...] = b[last:]
         sticks = rng.beta(a, layout)
         head = sticks[:head.size].reshape(head.shape)
-        prod = np.subtract(1.0, head, out=head).prod(axis=2).prod(axis=0)
+        blocks = np.empty((head.shape[0] + 1, count))
+        blocks[0] = prod
+        np.subtract(1.0, head, out=head).prod(axis=2, out=blocks[1:])
+        prod = blocks.prod(axis=0)
         sticks = sticks[head.size:].reshape(count, -1)
     else:
-        prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
-        for start in range(0, last, _STICK_CHUNK):
-            sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
-            prod *= np.subtract(1.0, sticks, out=sticks).prod(axis=1)
-            # prod only shrinks from here and the final stick is < 1, so once
-            # every atom is under the floor the whole round is dropped
-            if prod.max() < weight_floor:
-                return np.empty(0), np.empty(0)
         sticks = rng.beta(a, b[last:], size=(count, round_index - last))
     rest = sticks[:, :-1]
     weight = prod * np.subtract(1.0, rest, out=rest).prod(axis=1) * sticks[:, -1]
@@ -241,14 +265,21 @@ def sample_three_param_bp(params: BetaProcessParams,
         independent of any round-level parallelism because each round reads
         its own stream keyed by (seed, round).
     """
-    b = np.empty(0)
+    b, decay = np.empty(0), np.zeros(1)
     all_w, all_l = [], []
     for first in range(1, cfg.rounds + 1, _KEY_CHUNK):
         rounds = np.arange(first, min(first + _KEY_CHUNK, cfg.rounds + 1), dtype=np.uint64)
-        b = np.concatenate((b, params.concentration + params.discount
-                            * np.arange(b.size + 1, first + rounds.size, dtype=np.float64)))
+        grown = params.concentration + params.discount * np.arange(
+            b.size + 1, first + rounds.size, dtype=np.float64)
+        b = np.concatenate((b, grown))
+        # E[log(1 - stick)] = digamma(b) - digamma(a + b), to first order in
+        # 1 / b: below the log of the mean, so a floor near the mean product
+        # still gets its early stop
+        a = 1.0 - params.discount
+        decay = np.concatenate((decay, decay[-1] + np.cumsum(
+            np.log(grown / (grown + a)) - a / (2.0 * grown * (grown + a)))))
         for i, rng in enumerate(philox_streams(cfg.seed, rounds), first):
-            w, lab = _round_atoms(params, cfg.weight_floor, rng, b[:i])
+            w, lab = _round_atoms(params, cfg.weight_floor, rng, b[:i], decay[:i])
             if w.size:
                 all_w.append(w)
                 all_l.append(lab)

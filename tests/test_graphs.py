@@ -349,7 +349,7 @@ class TestHashFirst:
             draws.append(delta)
         assert calls == draws and philox_pairs
 
-    @pytest.mark.parametrize("hash_block", [1, 3, 7, graphs._HASH_BLOCK])
+    @pytest.mark.parametrize("hash_block", [1, 3, 7, 64, graphs._HASH_BLOCK])
     def test_draws_equal_every_pair_reference(self, hash_block):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as st
 
+from crmgraph import measures
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, _round_atoms, check_integer, check_real,
                                rate_density, read_measure_csv, sample_three_param_bp,
@@ -225,10 +226,84 @@ class TestSampler:
         for ell in range(1, i):
             expected *= (t + ell * a) / (1 + t + ell * a - a)
         b = t + a * np.arange(1, i + 1)
-        vals = np.array([_round_atoms(STD_PARAMS, 0.0, philox(s, i), b)[0].sum()
+        decay = np.zeros(i)  # floor 0 draws the round in one call whatever its decay
+        vals = np.array([_round_atoms(STD_PARAMS, 0.0, philox(s, i), b, decay)[0].sum()
                          for s in range(4000)])
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - expected) < 4.0 * se
+
+
+class TestStickSchedule:
+    # (params, rounds, floor) and two seeds: desk, where most rounds stop
+    # early; stress, where none does; the Johnk beta draws; floor 0; and
+    # floors at which rounds draw blocks one by one and then the rest at once
+    CASES = {
+        "desk": ((1.0, 0.1, 3.0), 1000, 1e-10, (0, 1)),
+        "stress": ((1.0, 0.5, 3.0), 2000, 1e-10, (5, 6)),
+        "johnk": ((0.3, 1 / 3, 3.0), 300, 1e-10, (2, 3)),
+        "floor0": ((1.0, 0.1, 3.0), 1000, 0.0, (0, 1)),
+        "mixed-d0.25": ((1.0, 0.25, 3.0), 1000, 1e-6, (0, 1)),
+        "mixed-d0.1": ((1.0, 0.1, 3.0), 1000, 1e-16, (0, 1)),
+    }
+
+    @pytest.fixture
+    def beta_work(self, monkeypatch):
+        """One entry per round: the round's generator, wrapped to record its
+        Poisson count and the number of beta calls and of betas drawn."""
+        rounds = []
+        opener = measures.philox_streams
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.count, self.calls, self.drawn = rng, 0, 0, 0
+
+            def poisson(self, lam):
+                self.count = self.rng.poisson(lam)
+                return self.count
+
+            def beta(self, a, b, size=None):
+                out = self.rng.beta(a, b, size=size)
+                self.calls += 1
+                self.drawn += out.size
+                return out
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        def counting(*fields):
+            for rng in opener(*fields):
+                rounds.append(Counting(rng))
+                yield rounds[-1]
+
+        monkeypatch.setattr(measures, "philox_streams", counting)
+        return rounds
+
+    @pytest.mark.parametrize("name, seed", [(name, seed) for name, case in CASES.items()
+                                            for seed in case[3]])
+    def test_schedule_decides_cost_only(self, monkeypatch, name, seed):
+        # every block alone, or each round whole in one call: the same atoms
+        params, rounds, floor, _ = self.CASES[name]
+        draw = lambda: sample_three_param_bp(BetaProcessParams(*params), cfg(rounds, floor, seed))
+        expected = draw()
+        assert len(expected) > 0
+        for forced in (False, True):
+            monkeypatch.setattr(measures, "_one_call", lambda *args: forced)
+            m = draw()
+            assert np.array_equal(m.weights, expected.weights)
+            assert np.array_equal(m.labels, expected.labels)
+
+    def test_one_beta_call_per_stress_round(self, beta_work):
+        # the floor cannot stop a stress round: each draws its sticks at once
+        params = BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0)
+        measure = sample_three_param_bp(params, cfg(2000, 1e-10, 5))
+        assert len(beta_work) == 2000 and len(measure) == 6103
+        assert [r.calls for r in beta_work] == [int(r.count > 0) for r in beta_work]
+
+    def test_desk_rounds_keep_their_early_stop(self, beta_work):
+        # 632,060 betas when every round drew its blocks one by one
+        sample_three_param_bp(STD_PARAMS, cfg(1000, 1e-10, 0))
+        assert len(beta_work) == 1000
+        assert sum(r.drawn for r in beta_work) <= 632_060
 
 
 class TestAtomicMeasure:
