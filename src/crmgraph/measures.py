@@ -12,7 +12,7 @@ Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``, served by
 ``rng.philox_streams`` from the keys ``rng.philox_keys`` computes for a chunk
 of rounds at once.  A round draws its sticks in column blocks, one block per
 ``rng.beta`` call while a positive weight floor may still drop the whole
-round, and every remaining block in one call once the expected decay of its
+round, and every remaining block in one call once the typical decay of its
 heaviest atom says it will not; the schedule changes the cost of a round,
 never its values.
 """
@@ -234,10 +234,7 @@ def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.
         layout[head.size:].reshape(count, -1)[...] = b[last:]
         sticks = rng.beta(a, layout)
         head = sticks[:head.size].reshape(head.shape)
-        blocks = np.empty((head.shape[0] + 1, count))
-        blocks[0] = prod
-        np.subtract(1.0, head, out=head).prod(axis=2, out=blocks[1:])
-        prod = blocks.prod(axis=0)
+        prod = np.vstack((prod, np.subtract(1.0, head, out=head).prod(axis=2))).prod(axis=0)
         sticks = sticks[head.size:].reshape(count, -1)
     else:
         sticks = rng.beta(a, b[last:], size=(count, round_index - last))
@@ -265,6 +262,7 @@ def sample_three_param_bp(params: BetaProcessParams,
         independent of any round-level parallelism because each round reads
         its own stream keyed by (seed, round).
     """
+    a = 1.0 - params.discount
     b, decay = np.empty(0), np.zeros(1)
     all_w, all_l = [], []
     for first in range(1, cfg.rounds + 1, _KEY_CHUNK):
@@ -274,10 +272,11 @@ def sample_three_param_bp(params: BetaProcessParams,
         b = np.concatenate((b, grown))
         # E[log(1 - stick)] = digamma(b) - digamma(a + b), to first order in
         # 1 / b: below the log of the mean, so a floor near the mean product
-        # still gets its early stop
-        a = 1.0 - params.discount
-        decay = np.concatenate((decay, decay[-1] + np.cumsum(
-            np.log(grown / (grown + a)) - a / (2.0 * grown * (grown + a)))))
+        # still gets its early stop.  b is at least 2**-53 in the correction,
+        # which keeps it finite for any concentration
+        log_complement = (np.log(grown / (grown + a))
+                          - a / (2.0 * np.maximum(grown, 2.0**-53) * (grown + a)))
+        decay = np.concatenate((decay, decay[-1] + np.cumsum(log_complement)))
         for i, rng in enumerate(philox_streams(cfg.seed, rounds), first):
             w, lab = _round_atoms(params, cfg.weight_floor, rng, b[:i], decay[:i])
             if w.size:

@@ -292,6 +292,11 @@ class TestStickSchedule:
             assert np.array_equal(m.weights, expected.weights)
             assert np.array_equal(m.labels, expected.labels)
 
+    def test_decay_stays_finite_at_a_subnormal_concentration(self):
+        # no overflow warning, which this suite turns into an error
+        params = BetaProcessParams(concentration=5e-324, discount=0.0, mass=3.0)
+        assert len(sample_three_param_bp(params, cfg(300, 1e-10, 1))) == 0
+
     def test_one_beta_call_per_stress_round(self, beta_work):
         # the floor cannot stop a stress round: each draws its sticks at once
         params = BetaProcessParams(concentration=1.0, discount=0.5, mass=3.0)
