@@ -226,15 +226,17 @@ def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.
         start += _STICK_CHUNK
     if start < last:
         # the rest in one call: the blocks' parameters laid out in the order
-        # the loop above reads the stream, then the final block's; the block
-        # products fold into prod in block order, as the loop would
+        # the loop above reads the stream, then the final block's; prod times
+        # the first block, then each later block, associates as in the loop
         layout = np.empty(count * (round_index - start))
         head = layout[:count * (last - start)].reshape(-1, count, _STICK_CHUNK)
         head[...] = b[start:last].reshape(-1, 1, _STICK_CHUNK)
         layout[head.size:].reshape(count, -1)[...] = b[last:]
         sticks = rng.beta(a, layout)
         head = sticks[:head.size].reshape(head.shape)
-        prod = np.vstack((prod, np.subtract(1.0, head, out=head).prod(axis=2))).prod(axis=0)
+        blocks = np.subtract(1.0, head, out=head).prod(axis=2)
+        blocks[0] *= prod
+        prod = blocks.prod(axis=0)
         sticks = sticks[head.size:].reshape(count, -1)
     else:
         sticks = rng.beta(a, b[last:], size=(count, round_index - last))
