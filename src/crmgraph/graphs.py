@@ -254,7 +254,8 @@ def _check_pairs(pairs: np.ndarray, atom_count: int, counts=None, n_rounds=None)
     if a == b:
         raise ParameterError(f"loop ({a}, {a}) is not allowed")
     if not 0 <= a < b < atom_count:
-        raise ParameterError(f"pair ({a}, {b}) out of range for {atom_count} atoms")
+        raise ParameterError(f"pair ({a}, {b}) out of range for {atom_count} atoms: "
+                             f"need 0 <= i < j < {atom_count}")
     raise ParameterError(f"count {int(counts[first])} for pair ({a}, {b}) outside 1..{n_rounds}")
 
 
@@ -288,18 +289,6 @@ def _row_blocks(lens: np.ndarray, block: int):
         stop = max(int(np.searchsorted(ends, done + block, side="right")), start + 1)
         yield start, stop
         start, done = stop, int(ends[stop - 1])
-
-
-def _row_pairs(lens: np.ndarray, start: int, stop: int):
-    """Positions (a, b) of the pairs of rows start..stop-1, row by row.
-
-    Row a pairs with positions a+1 .. a+lens[a].
-    """
-    row_lens = lens[start:stop]
-    a = np.repeat(np.arange(start, stop), row_lens)
-    first = np.arange(start + 1, stop + 1) - (np.cumsum(row_lens) - row_lens)
-    b = np.arange(a.size) + np.repeat(first, row_lens)
-    return a, b
 
 
 def _zero_thresholds(heaviest: np.ndarray, n_rounds: int) -> np.ndarray:

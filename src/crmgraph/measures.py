@@ -10,11 +10,12 @@ to zero recovers the plain beta process.
 
 Round ``i`` reads the Philox stream of ``rng.philox(seed, i)``, served by
 ``rng.philox_streams`` from the keys ``rng.philox_keys`` computes for a chunk
-of rounds at once.  A round draws its sticks in column blocks, one block per
-``rng.beta`` call while a positive weight floor may still drop the whole
-round, and every remaining block in one call once the typical decay of its
-heaviest atom says it will not; the schedule changes the cost of a round,
-never its values.
+of rounds at once.  A round draws its sticks in column blocks, either every
+block in one ``rng.beta`` call or one block per call, stopping once a
+positive weight floor drops the whole round.  It goes in one call when the
+nonempty round before it kept an atom.  Both schedules read the same stream
+and multiply in the same order, so values never depend on the schedule or
+on round order; only the cost does.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ __all__ = [
 # many atoms that pair enumeration downstream stops being desk-scale.
 MAX_MASS = 100.0
 
-# Sticks are laid out in column blocks of this many rounds.  A round that a
-# positive weight floor may stop early draws one block per call and checks
-# the floor after each; the rest of the round goes in one call.
+# Sticks are laid out in column blocks of this many rounds.  A round drawn
+# block by block checks the floor after each block; a round drawn in one
+# call lays its blocks out in the same stream order.
 _STICK_CHUNK = 128
 
 # Round keys are computed this many rounds at a time, so nothing is sized by
@@ -179,66 +180,46 @@ class AtomicMeasure:
         return float(self.weights.sum())
 
 
-def _one_call(top: float, log_decay: float, weight_floor: float) -> bool:
-    """Whether a round draws all its remaining sticks in one call: the
-    heaviest atom's running product ``top``, times ``exp(log_decay)``, the
-    typical product of the complements still to come, is at or above the
-    floor, so no early stop is expected.  Always true at floor 0."""
-    return top * math.exp(log_decay) >= weight_floor
+def _round_atoms(count: int, params: BetaProcessParams, weight_floor: float,
+                 rng: np.random.Generator, b: np.ndarray,
+                 whole: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and labels of the atoms kept from one round of ``count`` > 0.
 
-
-def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.Generator,
-                 b: np.ndarray, decay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and labels of the atoms spawned in one round.
-
-    ``rng`` is keyed for the round, and ``b`` holds its stick parameters
-    ``b[l - 1] = concentration + l * discount`` for l up to the round index,
-    ``b.size``; ``decay[l]`` is the expected log of the product of the
-    complements of sticks 1..l, ``E[log(1 - stick)]`` summed over ``b[:l]``.
-    Stream layout per round: one Poisson count, then the labels, then the
-    stick matrix in fixed column blocks, so emitted values never depend on
-    how many blocks were actually needed.  Before each block the round
-    either draws that block alone and stops once no atom can stay above the
-    floor, or, when :func:`_one_call` expects no stop, draws every remaining
-    block in one call laid out in the same stream order and folds their
-    products into the running product in block order.  Either way every
-    value and product is the same, so the schedule decides cost only, and a
-    positive floor is a pure filter on the floor-0 atoms.
+    ``rng`` is keyed for the round and has drawn its Poisson count, and ``b``
+    holds its stick parameters ``b[l - 1] = concentration + l * discount``
+    for l up to the round index, ``b.size``.  Stream layout per round: the
+    count, then the labels, then the stick matrix in fixed column blocks of
+    every atom's sticks, the final block holding the rest of the columns.
+    With ``whole`` every block is drawn in one call; otherwise each block
+    is drawn alone, and once no atom can stay above the floor the round
+    stops.  Either way the values and the order of the products are the
+    same, so ``whole`` decides cost only, and a positive floor is a pure
+    filter on the floor-0 atoms.
     """
-    count = int(rng.poisson(params.mass))
-    if count == 0:
-        return np.empty(0), np.empty(0)
     labels = rng.random(count)
-
     a = 1.0 - params.discount
     round_index = b.size
     last = (round_index - 1) // _STICK_CHUNK * _STICK_CHUNK  # final block's first column
-    prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
-    top, start = 1.0, 0
-    while start < last and not _one_call(top, decay[-1] - decay[start], weight_floor):
-        sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
-        prod *= np.subtract(1.0, sticks, out=sticks).prod(axis=1)
-        # prod only shrinks from here and the final stick is < 1, so once
-        # every atom is under the floor the whole round is dropped
-        top = prod.max()
-        if top < weight_floor:
-            return np.empty(0), np.empty(0)
-        start += _STICK_CHUNK
-    if start < last:
-        # the rest in one call: the blocks' parameters laid out in the order
-        # the loop above reads the stream, then the final block's; prod times
-        # the first block, then each later block, associates as in the loop
-        layout = np.empty(count * (round_index - start))
-        head = layout[:count * (last - start)].reshape(-1, count, _STICK_CHUNK)
-        head[...] = b[start:last].reshape(-1, 1, _STICK_CHUNK)
+    if whole:
+        # the blocks' parameters in stream order, then the final block's;
+        # the block products fold in block order, as in the loop below
+        layout = np.empty(count * round_index)
+        head = layout[:count * last].reshape(-1, count, _STICK_CHUNK)
+        head[...] = b[:last].reshape(-1, 1, _STICK_CHUNK)
         layout[head.size:].reshape(count, -1)[...] = b[last:]
         sticks = rng.beta(a, layout)
         head = sticks[:head.size].reshape(head.shape)
-        blocks = np.subtract(1.0, head, out=head).prod(axis=2)
-        blocks[0] *= prod
-        prod = blocks.prod(axis=0)
+        prod = np.subtract(1.0, head, out=head).prod(axis=2).prod(axis=0)
         sticks = sticks[head.size:].reshape(count, -1)
     else:
+        prod = np.ones(count)  # running product of (1 - stick) over earlier blocks
+        for start in range(0, last, _STICK_CHUNK):
+            sticks = rng.beta(a, b[start:start + _STICK_CHUNK], size=(count, _STICK_CHUNK))
+            prod *= np.subtract(1.0, sticks, out=sticks).prod(axis=1)
+            # prod only shrinks from here and the final stick is < 1, so once
+            # every atom is under the floor the whole round is dropped
+            if prod.max() < weight_floor:
+                return np.empty(0), np.empty(0)
         sticks = rng.beta(a, b[last:], size=(count, round_index - last))
     rest = sticks[:, :-1]
     weight = prod * np.subtract(1.0, rest, out=rest).prod(axis=1) * sticks[:, -1]
@@ -250,6 +231,11 @@ def _round_atoms(params: BetaProcessParams, weight_floor: float, rng: np.random.
 def sample_three_param_bp(params: BetaProcessParams,
                           cfg: StickBreakingConfig) -> AtomicMeasure:
     """Draw a truncated three-parameter beta process by stick breaking.
+
+    Each nonempty round draws its sticks in one call when the nonempty round
+    before it kept an atom, and block by block otherwise (see
+    :func:`_round_atoms`); the first goes in one call.  The schedule changes
+    the cost only, never a value.
 
     Parameters
     ----------
@@ -264,26 +250,21 @@ def sample_three_param_bp(params: BetaProcessParams,
         independent of any round-level parallelism because each round reads
         its own stream keyed by (seed, round).
     """
-    a = 1.0 - params.discount
-    b, decay = np.empty(0), np.zeros(1)
+    b = np.empty(0)
+    whole = True
     all_w, all_l = [], []
     for first in range(1, cfg.rounds + 1, _KEY_CHUNK):
         rounds = np.arange(first, min(first + _KEY_CHUNK, cfg.rounds + 1), dtype=np.uint64)
-        grown = params.concentration + params.discount * np.arange(
-            b.size + 1, first + rounds.size, dtype=np.float64)
-        b = np.concatenate((b, grown))
-        # E[log(1 - stick)] = digamma(b) - digamma(a + b), to first order in
-        # 1 / b: below the log of the mean, so a floor near the mean product
-        # still gets its early stop.  b is at least 2**-53 in the correction,
-        # which keeps it finite for any concentration
-        log_complement = (np.log(grown / (grown + a))
-                          - a / (2.0 * np.maximum(grown, 2.0**-53) * (grown + a)))
-        decay = np.concatenate((decay, decay[-1] + np.cumsum(log_complement)))
+        b = np.concatenate((b, params.concentration + params.discount * np.arange(
+            b.size + 1, first + rounds.size, dtype=np.float64)))
         for i, rng in enumerate(philox_streams(cfg.seed, rounds), first):
-            w, lab = _round_atoms(params, cfg.weight_floor, rng, b[:i], decay[:i])
-            if w.size:
-                all_w.append(w)
-                all_l.append(lab)
+            count = int(rng.poisson(params.mass))
+            if count:
+                w, lab = _round_atoms(count, params, cfg.weight_floor, rng, b[:i], whole)
+                whole = w.size > 0
+                if whole:
+                    all_w.append(w)
+                    all_l.append(lab)
     if all_w:
         weights = np.concatenate(all_w)
         labels = np.concatenate(all_l)

@@ -54,19 +54,19 @@ def mix64_array(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def row_keys(base_key: int, count: int) -> np.ndarray:
     """The first half ``mix64(base_key ^ i)`` of the per-item hash, i < count.
 
-    Gathering these by ``i`` and passing them to :func:`pair_hashes` gives
-    the item (i, j) its hash ``mix64(mix64(base_key ^ i) ^ j)``, at one hash
-    per row instead of two per item.  The value depends only on (base_key,
-    i, j), never on the position of the item within the arrays, which is what
-    makes merged results from any partitioning of the items identical to a
-    serial pass.
+    Repeating key ``i`` along the items (i, j) of row i and passing it to
+    :func:`pair_hashes` gives each its hash ``mix64(mix64(base_key ^ i) ^ j)``,
+    at one hash per row instead of two per item.  The value depends only on
+    (base_key, i, j), never on the position of the item within the arrays,
+    which is what makes merged results from any partitioning of the items
+    identical to a serial pass.
     """
     return mix64_array(np.uint64(base_key & _MASK64) ^ np.arange(count, dtype=np.uint64))
 
 
 def pair_hashes(row_key: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Finish the per-item 64-bit hash ``mix64(row_key ^ j)`` from gathered
-    row keys, in a new array.  A uint64 ``j`` is read in place, any other
+    """Finish the per-item 64-bit hash ``mix64(row_key ^ j)`` from each
+    item's row key, in a new array.  A uint64 ``j`` is read in place, any other
     integer dtype is copied."""
     h = np.bitwise_xor(row_key, j.astype(np.uint64, copy=False))
     return mix64_array(h, out=h)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_csv
-from .graphs import BinaryGraph, _row_blocks, _row_pairs
+from .graphs import BinaryGraph, _row_blocks
 from .measures import check_integer
 
 __all__ = [
@@ -68,6 +68,18 @@ def _degree_triangle_arrays(graph: BinaryGraph):
     u, v = inverse.reshape(2, -1)
     degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     return vertex_ids, degree, _forward_triangles(u, v, degree)
+
+
+def _row_pairs(lens: np.ndarray, start: int, stop: int):
+    """Positions (a, b) of the pairs of rows start..stop-1, row by row.
+
+    Row a pairs with positions a+1 .. a+lens[a].
+    """
+    row_lens = lens[start:stop]
+    a = np.repeat(np.arange(start, stop), row_lens)
+    first = np.arange(start + 1, stop + 1) - (np.cumsum(row_lens) - row_lens)
+    b = np.arange(a.size) + np.repeat(first, row_lens)
+    return a, b
 
 
 def _forward_triangles(u: np.ndarray, v: np.ndarray, degree: np.ndarray) -> np.ndarray:

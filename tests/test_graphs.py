@@ -605,6 +605,16 @@ class TestValidation:
             BinaryGraph(frozenset({(0, 1), (1, 4)}), 4)
         BinaryGraph(frozenset({(0, 1), (1, 3)}), 4)
 
+    def test_reversed_pair_message_states_the_rule(self, tmp_path):
+        # both ids are in range; what is wrong is their order
+        message = "pair (5, 3) out of range for 10 atoms: need 0 <= i < j < 10"
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            MultiGraph(10, 10, {(5, 3): 1})
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n0,9\n5,3\n")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            read_edges_csv(path)
+
     @pytest.mark.parametrize("edges, message", [
         ({(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 2): 1, (0, 9): 1}, "loop (2, 2)"),
         ({(0, 1): 1, (0, 2): 1, (3, 1): 1, (1, 2): 1, (2, 2): 1}, "pair (3, 1) out of range"),

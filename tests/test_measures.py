@@ -226,9 +226,12 @@ class TestSampler:
         for ell in range(1, i):
             expected *= (t + ell * a) / (1 + t + ell * a - a)
         b = t + a * np.arange(1, i + 1)
-        decay = np.zeros(i)  # floor 0 draws the round in one call whatever its decay
-        vals = np.array([_round_atoms(STD_PARAMS, 0.0, philox(s, i), b, decay)[0].sum()
-                         for s in range(4000)])
+
+        def round_mass(rng):
+            count = int(rng.poisson(g))
+            return _round_atoms(count, STD_PARAMS, 0.0, rng, b, True)[0].sum() if count else 0.0
+
+        vals = np.array([round_mass(philox(s, i)) for s in range(4000)])
         se = vals.std() / math.sqrt(len(vals))
         assert abs(vals.mean() - expected) < 4.0 * se
 
@@ -236,7 +239,7 @@ class TestSampler:
 class TestStickSchedule:
     # (params, rounds, floor) and two seeds: desk, where most rounds stop
     # early; stress, where none does; the Johnk beta draws; floor 0; and
-    # floors at which rounds draw blocks one by one and then the rest at once
+    # floors at which some rounds keep no atom after a round that did
     CASES = {
         "desk": ((1.0, 0.1, 3.0), 1000, 1e-10, (0, 1)),
         "stress": ((1.0, 0.5, 3.0), 2000, 1e-10, (5, 6)),
@@ -249,13 +252,14 @@ class TestStickSchedule:
     @pytest.fixture
     def beta_work(self, monkeypatch):
         """One entry per round: the round's generator, wrapped to record its
-        Poisson count and the number of beta calls and of betas drawn."""
+        Poisson count, the number of beta calls and of betas drawn, and the
+        most stick columns drawn in one call."""
         rounds = []
         opener = measures.philox_streams
 
         class Counting:
             def __init__(self, rng):
-                self.rng, self.count, self.calls, self.drawn = rng, 0, 0, 0
+                self.rng, self.count, self.calls, self.drawn, self.widest = rng, 0, 0, 0, 0
 
             def poisson(self, lam):
                 self.count = self.rng.poisson(lam)
@@ -265,6 +269,7 @@ class TestStickSchedule:
                 out = self.rng.beta(a, b, size=size)
                 self.calls += 1
                 self.drawn += out.size
+                self.widest = max(self.widest, out.size // self.count)
                 return out
 
             def __getattr__(self, name):
@@ -286,8 +291,10 @@ class TestStickSchedule:
         draw = lambda: sample_three_param_bp(BetaProcessParams(*params), cfg(rounds, floor, seed))
         expected = draw()
         assert len(expected) > 0
+        inner = measures._round_atoms
         for forced in (False, True):
-            monkeypatch.setattr(measures, "_one_call", lambda *args: forced)
+            monkeypatch.setattr(measures, "_round_atoms",
+                                lambda *args: inner(*args[:-1], forced))
             m = draw()
             assert np.array_equal(m.weights, expected.weights)
             assert np.array_equal(m.labels, expected.labels)
@@ -303,6 +310,30 @@ class TestStickSchedule:
         measure = sample_three_param_bp(params, cfg(2000, 1e-10, 5))
         assert len(beta_work) == 2000 and len(measure) == 6103
         assert [r.calls for r in beta_work] == [int(r.count > 0) for r in beta_work]
+
+    @pytest.mark.parametrize("params, rounds, seed", [((1.0, 0.1, 3.0), 1000, 0),
+                                                      ((1.0, 0.5, 3.0), 2000, 5)],
+                             ids=["desk", "stress"])
+    def test_round_goes_whole_after_a_round_that_kept_an_atom(self, monkeypatch, beta_work,
+                                                              params, rounds, seed):
+        # the rule, read off the stream: one beta call after a nonempty round
+        # that kept an atom (round 1 counts as kept), else blocks of <= 128
+        inner, kept = measures._round_atoms, []
+
+        def recording(*args):
+            atoms = inner(*args)
+            kept.append(atoms[0].size)
+            return atoms
+
+        monkeypatch.setattr(measures, "_round_atoms", recording)
+        sample_three_param_bp(BetaProcessParams(*params), cfg(rounds, 1e-10, seed))
+        nonempty = [r for r in beta_work if r.count > 0]
+        after_kept = [True] + [k > 0 for k in kept[:-1]]
+        assert len(nonempty) == len(kept) and any(after_kept[1:])
+        for r, whole in zip(nonempty, after_kept):
+            assert (r.calls == 1) if whole else (r.widest <= 128)
+        if seed == 0:  # desk drops rounds, so both schedules are read
+            assert not all(after_kept) and max(r.calls for r in nonempty) > 1
 
     def test_desk_rounds_keep_their_early_stop(self, beta_work):
         # 632,060 betas when every round drew its blocks one by one
