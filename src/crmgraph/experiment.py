@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .fileio import open_text_sink, write_csv, write_json
-from .graphs import binarize, extend, generate, start_growth
+from .graphs import binarize, generate, grow
 from .measures import (BetaProcessParams, ParameterError, StickBreakingConfig,
                        check_integer, check_real, sample_three_param_bp)
 from .powerlaw import (DEFAULT_LOWER_Q, DEFAULT_UPPER_Q, PowerLawReport, classify,
@@ -162,20 +162,14 @@ def _replica_rows(cfg: ExperimentConfig, replica: int):
     """All snapshots of one replica."""
     replica_seed = derive_key(cfg.seed, replica)
     measure = sample_three_param_bp(cfg.params(), cfg.sticks(replica_seed))
-    rows = []
+    grid = cfg.n_grid()
     if cfg.growth_mode == "coupled":
-        state = start_growth(measure, derive_key(replica_seed, 1))
-        prev = 0
-        for n in cfg.n_grid():
-            if n > prev:
-                state = extend(state, n - prev)
-                prev = n
-            rows.append((replica, n, summarize(binarize(state.graph), n)))
+        graphs = grow(measure, derive_key(replica_seed, 1), grid)
     else:
-        for n in cfg.n_grid():
-            graph = generate(measure, n, derive_key(replica_seed, 2, n))
-            rows.append((replica, n, summarize(binarize(graph), n)))
-    return rows
+        graphs = (generate(measure, n, derive_key(replica_seed, 2, n)) for n in grid)
+    # binarize and summarize are looked up here for every snapshot, where the
+    # benchmark's traced replay wraps them
+    return [(replica, n, summarize(binarize(graph), n)) for n, graph in zip(grid, graphs)]
 
 
 def _gather_replicas(cfg: ExperimentConfig):

@@ -25,11 +25,18 @@ the count pass, which gives each the count it would get if every pair ran
 it, so the graph does not depend on the filters.  Rows go in index order,
 so the edges come out sorted by (i, j).  No pair is left out, however
 light: each costs at least its hash.
+
+A coupled trajectory observed at a grid of round counts comes from
+:func:`grow` in one such pass at the largest count: a pair's keyed uniform
+fixes its first-edge round, and its count increments between grid values
+come from one Philox stream per trajectory, over the pairs in (i, j) order.
+:func:`extend` serves callers that grow a graph step by step, one pass per
+step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set, Sized
+from collections.abc import Iterable, Mapping, Set, Sized
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,6 +53,7 @@ __all__ = [
     "generate_exact_rounds",
     "start_growth",
     "extend",
+    "grow",
     "binarize",
     "write_edges_csv",
     "read_edges_csv",
@@ -68,6 +76,9 @@ _ZERO_SLACK = 2.0**-30
 # memory follows this constant plus the pairs that can be edges, not the
 # number of atom pairs.  Larger blocks were no faster and raised peak RSS.
 _HASH_BLOCK = 1 << 14
+
+# The key field of grow's count stream, beside the trajectory's seed.
+_GROW_STREAM = 0x640F
 
 _MULTIGRAPH_HEADER = ("i", "j", "count")
 _BINARYGRAPH_HEADER = ("i", "j")
@@ -346,10 +357,11 @@ def _binomial_counts(base_key: int, weights: np.ndarray, i: np.ndarray,
     return counts
 
 
-def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
-                    epoch: int) -> EdgeCounts:
-    """One epoch of pair draws: the pairs with a positive count, sorted by
-    (i, j), and their counts.
+def _candidates(weights: np.ndarray, n_rounds: int, base_key: int):
+    """The pairs (i, j), sorted, that can have a positive count after
+    ``n_rounds`` rounds, with their keyed uniforms ``u``: those with u at or
+    above their zero-count probability ``q0 = (1 - p)^n``, and those whose q0
+    underflows.
 
     Row i pairs atom i with every later atom; rows are hashed in blocks of at
     most ``_HASH_BLOCK`` pairs, one :func:`pair_hashes` call per block over
@@ -359,21 +371,16 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
     :func:`_zero_thresholds` entry puts the pair's keyed uniform below the
     zero-count level of the row's heaviest pair, at most the pair's own, so
     its count is zero for certain.  The others get their keyed uniform
-    ``(h >> 11) * 2**-53`` and the exact zero test, and those that can have a
-    nonzero count reach one :func:`_binomial_counts` call with their
-    uniforms, whose counts depend on nothing but the pair: those of every
-    pair.
+    ``(h >> 11) * 2**-53`` and the exact zero test.
     """
-    weights = measure.weights
     k = weights.size
-    if delta_rounds == 0 or k < 2:
-        return EdgeCounts(np.empty((2, 0), np.int64), np.empty(0, np.int64))
+    if n_rounds == 0 or k < 2:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
     lens = k - 1 - np.arange(k)
-    base_key = derive_key(seed, epoch)
     keys = row_keys(base_key, k)
     # row i's heaviest pair joins atom i to the heaviest atom after it
     after = np.append(np.maximum.accumulate(weights[::-1])[-2::-1], 0.0)
-    zero_below = _zero_thresholds(weights * after, delta_rounds)
+    zero_below = _zero_thresholds(weights * after, n_rounds)
     cols = np.arange(k, dtype=np.uint64)  # uint64, so pair_hashes reads j in place
     parts = []
     for start, stop in _row_blocks(lens, _HASH_BLOCK):
@@ -385,12 +392,24 @@ def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
         # rebinding h frees the block's hashes first (held, they add 3 MB to stress peak RSS)
         j, h = j[kept].view(np.int64), h[kept]
         u = (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        log_q0 = delta_rounds * np.log1p(-(weights[i] * weights[j]))
+        log_q0 = n_rounds * np.log1p(-(weights[i] * weights[j]))
         kept = np.flatnonzero((u >= np.exp(log_q0)) | (log_q0 < _LOG_PMF0_MIN))
         parts.append((i[kept], j[kept], u[kept]))
-    i, j, u = (np.concatenate(part) for part in zip(*parts))
-    del parts  # freed before the binomial pass
-    counts = _binomial_counts(base_key, weights, i, j, u, delta_rounds)
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _draw_increment(measure: AtomicMeasure, delta_rounds: int, seed: int,
+                    epoch: int) -> EdgeCounts:
+    """One epoch of pair draws: the pairs with a positive count, sorted by
+    (i, j), and their counts.
+
+    The :func:`_candidates` of the epoch's key reach one
+    :func:`_binomial_counts` call with their uniforms, whose counts depend on
+    nothing but the pair: those of every pair.
+    """
+    base_key = derive_key(seed, epoch)
+    i, j, u = _candidates(measure.weights, delta_rounds, base_key)
+    counts = _binomial_counts(base_key, measure.weights, i, j, u, delta_rounds)
     nz = np.flatnonzero(counts)
     return EdgeCounts(np.stack((i[nz], j[nz])), counts[nz])
 
@@ -464,6 +483,52 @@ def extend(state: GrowthState, delta_rounds: int) -> GrowthState:
                         np.concatenate((old.counts, new.counts)))
     graph = MultiGraph(n_rounds, state.graph.atom_count, merged)
     return replace(state, graph=graph, epoch=epoch)
+
+
+def grow(measure: AtomicMeasure, seed: int, n_grid: Iterable[int]) -> list[MultiGraph]:
+    """The coupled multigraph at each round count of the nondecreasing
+    ``n_grid``, from one pair pass at its largest value N.
+
+    The pass finds the pairs ``generate(measure, N, seed)`` can make edges,
+    with their keyed uniforms u.  A pair's first-edge round is
+    T = ceil(log u / log1p(-p)), a Geometric(p) round clipped to [1, N], so
+    every pair the pass finds is an edge at N.  From one grid value ``prev``
+    to the next ``n``, a pair with T <= n gains
+    [prev < T] + Binomial(n - max(prev, T), p).  Those draws come from one
+    Philox stream keyed by ``seed``, over the pairs in (i, j) order, so a
+    pair's count at n is Binomial(n, p), with increments independent of the
+    counts before them: the law of :func:`extend`, from one pass over the
+    pairs instead of one per grid value.
+    """
+    _, seed = _check_draw_args(0, seed)
+    grid = [check_integer("n_rounds", n, 0, 2**63) for n in n_grid]
+    for a, b in zip(grid, grid[1:]):
+        if b < a:
+            raise ParameterError(f"n_grid must be nondecreasing, got {b} after {a}")
+    if not grid:
+        return []
+    n_max, weights = grid[-1], measure.weights
+    i, j, u = _candidates(weights, n_max, derive_key(seed, 0))
+    probs = weights[i] * weights[j]
+    # u may be 0, making T infinite; a T at or past N, which int64 may not
+    # hold, becomes N, and the others convert exactly
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rounds = np.ceil(np.log(u) / np.log1p(-probs))
+    first = np.full(u.size, n_max, dtype=np.int64)
+    early = rounds < n_max
+    first[early] = np.maximum(rounds[early], 1.0).astype(np.int64)
+    counts = np.zeros(u.size, dtype=np.int64)
+    rng = philox(seed, _GROW_STREAM)
+    graphs, prev = [], 0
+    for n in grid:
+        on = first <= n
+        if n > prev:
+            since = first[on]
+            counts[on] += (prev < since) + rng.binomial(n - np.maximum(prev, since), probs[on])
+            prev = n
+        graphs.append(MultiGraph(n, weights.size,
+                                 EdgeCounts(np.stack((i[on], j[on])), counts[on])))
+    return graphs
 
 
 def binarize(graph: MultiGraph) -> BinaryGraph:

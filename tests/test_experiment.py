@@ -250,7 +250,7 @@ class TestRunSweep:
         # every pooled type is fitted; replicas 0 and 2 have a constant V
         # window, so only replica 1 has a type I fit
         cfg = small_config(tmp_path, rounds=2, n_start=10, n_stop=200, n_step=10,
-                           seed=2, replicas=3)
+                           seed=24, replicas=3)
         result = run_sweep(cfg)
         assert len(calls) == 1
         labels = [line.split(",")[0] for line in
@@ -379,6 +379,36 @@ class TestRunSweep:
         labels = [row.split(",")[0] for row in rows]
         assert "I" in labels
         assert any(lab.startswith("I_replica") for lab in labels)
+
+
+class TestBenchContract:
+    """The benchmark's traced replay records a sweep through the names it
+    wraps in the experiment module: a measure per replica, and the binary
+    graph and statistics of every snapshot.  A sweep that stopped calling
+    them there would crash every replay's oracle checks."""
+
+    @pytest.mark.parametrize("mode", ["coupled", "independent"])
+    def test_sweep_calls_the_wrapped_names(self, tmp_path, monkeypatch, mode):
+        monkeypatch.setenv(experiment.THREADS_ENV, "1")
+        calls = []
+
+        def counting(name, inner):
+            def counted(*args, **kwargs):
+                out = inner(*args, **kwargs)
+                calls.append((name, args, out))
+                return out
+            return counted
+
+        for name in ("sample_three_param_bp", "binarize", "summarize"):
+            monkeypatch.setattr(experiment, name, counting(name, getattr(experiment, name)))
+        cfg = small_config(tmp_path, growth_mode=mode, replicas=2, n_start=0)
+        run_sweep(cfg)
+        per_replica = ["sample_three_param_bp"] + ["binarize", "summarize"] * len(cfg.n_grid())
+        assert [name for name, _, _ in calls] == per_replica * cfg.replicas
+        # each summarize reads the binary graph binarize returned just before
+        for (name, _, binary), (_, args, _) in zip(calls, calls[1:]):
+            if name == "binarize":
+                assert args[0] is binary
 
 
 class TestScatterSvg:

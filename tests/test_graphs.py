@@ -10,7 +10,7 @@ from scipy import stats as st
 
 from crmgraph import experiment, graphs
 from crmgraph.graphs import (BinaryGraph, MultiGraph, binarize, extend, generate,
-                             generate_exact_rounds, read_edges_csv, start_growth,
+                             generate_exact_rounds, grow, read_edges_csv, start_growth,
                              write_edges_csv)
 from crmgraph.measures import (AtomicMeasure, BetaProcessParams, ParameterError,
                                StickBreakingConfig, sample_three_param_bp)
@@ -424,6 +424,119 @@ class TestGrowth:
             ha, hb = merged_tail_hist(a, b)
             _, pvalue, _, _ = st.chi2_contingency(np.vstack([ha, hb]))
             assert pvalue > 0.01, f"pair {pair}: p={pvalue}"
+
+
+def desk_measure(seed=3):
+    cfg = experiment.DESK_PROFILE
+    return sample_three_param_bp(cfg.params(), cfg.sticks(seed))
+
+
+def closed_form_means(weights, n):
+    """E[V], E[E] and the expected total count after n rounds: with
+    L_ij = n log(1 - w_i w_j), E[E] = sum_{i<j} 1 - exp(L_ij) and
+    E[V] = sum_i 1 - exp(sum_j L_ij)."""
+    p = np.outer(weights, weights)
+    np.fill_diagonal(p, 0.0)
+    log_q0 = n * np.log1p(-p)
+    return (np.sum(-np.expm1(log_q0.sum(axis=1))), np.sum(-np.expm1(log_q0)) / 2,
+            n * p.sum() / 2)
+
+
+class TestGrow:
+    def test_final_snapshot_pairs_are_generates(self):
+        # THREE at 5000 rounds takes the Philox fallback for all three pairs
+        cases = [(desk_measure(), [50, 500, 2000]), (desk_measure(5), [300]),
+                 (sampled_measure(seed=3, rounds=200), [0, 7, 7, 800]),
+                 (THREE, [10, 5000])]
+        for m, grid in cases:
+            for seed in (0, 9, 2**64 - 1):
+                snaps = grow(m, seed, grid)
+                assert [g.n_rounds for g in snaps] == grid
+                final = snaps[-1].edge_counts
+                assert np.array_equal(final.pairs, generate(m, grid[-1], seed).edge_counts.pairs)
+
+    def test_one_pair_pass_for_the_whole_grid(self, monkeypatch):
+        hashed = []
+
+        def counting(row_key, j):
+            hashed.append(j.size)
+            return pair_hashes(row_key, j)
+
+        monkeypatch.setattr(graphs, "pair_hashes", counting)
+        m = desk_measure()
+        grow(m, 1, experiment.DESK_PROFILE.n_grid())
+        assert sum(hashed) == len(m) * (len(m) - 1) // 2
+
+    def test_trajectory_is_nondecreasing_and_replays(self):
+        m = sampled_measure(seed=3, rounds=200)
+        grid = [0, 0, 25, 25, 50, 400, 401]
+        snaps = grow(m, 4, grid)
+        assert [g.edge_counts for g in snaps] == [g.edge_counts for g in grow(m, 4, grid)]
+        assert snaps[0].total_edges() == snaps[1].total_edges() == 0
+        assert snaps[2].edge_counts == snaps[3].edge_counts
+        for a, b in zip(snaps, snaps[1:]):
+            for pair, count in a.edge_counts.items():
+                assert count <= b.edge_counts[pair] <= count + b.n_rounds - a.n_rounds
+        for g in snaps:
+            assert g.edge_counts.pairs.flags.c_contiguous
+
+    def test_mean_curves_match_closed_forms(self):
+        # 2,000 trajectories of one desk measure (259 atoms) against the closed forms
+        m, grid, reps = desk_measure(), [50, 500, 2000], 2000
+        seen = np.zeros((reps, len(grid), 3))
+        for seed in range(reps):
+            for at, g in enumerate(grow(m, seed, grid)):
+                edges = g.edge_counts
+                seen[seed, at] = (np.unique(edges.pairs).size, len(edges), edges.counts.sum())
+        for at, n in enumerate(grid):
+            mean, se = seen[:, at].mean(axis=0), seen[:, at].std(axis=0, ddof=1) / np.sqrt(reps)
+            z = (mean - closed_form_means(m.weights, n)) / se
+            assert np.all(np.abs(z) < 4), f"N={n}: z(V, E, total)={z}"
+
+    def test_increments_are_independent_binomials(self):
+        # count(N1) ~ Binomial(N1, p) and count(N2) - count(N1) ~ an
+        # independent Binomial(N2 - N1, p): one chi-square over the joint cells
+        n1, n2, reps = 6, 15, 5000
+        for pair in [(0, 1), (1, 2)]:
+            p = THREE.weights[pair[0]] * THREE.weights[pair[1]]
+            seen = np.zeros((n1 + 1, n2 - n1 + 1), dtype=np.int64)
+            for seed in range(reps):
+                first, second = (g.edge_counts.get(pair, 0) for g in grow(THREE, seed, [n1, n2]))
+                seen[first, second - first] += 1
+            expected = reps * np.outer(st.binom.pmf(np.arange(n1 + 1), n1, p),
+                                       st.binom.pmf(np.arange(n2 - n1 + 1), n2 - n1, p))
+            big = expected >= 5
+            observed = np.append(seen[big], seen[~big].sum())
+            _, pvalue = st.chisquare(observed, np.append(expected[big], expected[~big].sum()))
+            assert pvalue > 1e-4, f"pair {pair}: p={pvalue}"
+
+    @pytest.mark.parametrize("m", [AtomicMeasure(np.empty(0), np.empty(0)), measure(0.5)],
+                             ids=["no atom", "one atom"])
+    def test_fewer_than_two_atoms_stay_empty(self, m):
+        snaps = grow(m, 3, [0, 5, 10])
+        assert [(g.n_rounds, g.total_edges(), g.atom_count) for g in snaps] == [
+            (0, 0, len(m)), (5, 0, len(m)), (10, 0, len(m))]
+
+    def test_counts_stay_exact_at_2_62_rounds(self):
+        n = 2**62
+        snaps = grow(THREE, 5, [0, 1, n - 1, n])
+        assert [g.n_rounds for g in snaps] == [0, 1, n - 1, n]
+        before, last = snaps[2].edge_counts, snaps[3].edge_counts
+        assert last.counts.dtype == np.int64 and len(last) == 3
+        for pair, count in last.items():
+            assert count - before[pair] in (0, 1)
+            p = THREE.weights[pair[0]] * THREE.weights[pair[1]]
+            assert abs(count - n * p) < 6 * math.sqrt(n * p * (1 - p))
+
+    def test_grid_and_seed_are_checked(self):
+        assert grow(THREE, 0, []) == []
+        assert grow(THREE, np.uint64(7), (np.int64(5), 9.0)) == grow(THREE, 7, [5, 9])
+        for grid in ([5, 4], [-1], [2**63], [1.5]):
+            with pytest.raises(ParameterError):
+                grow(THREE, 0, grid)
+        for seed in (-1, 2**64):
+            with pytest.raises(ParameterError):
+                grow(THREE, seed, [5])
 
 
 class TestExactRounds:

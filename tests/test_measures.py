@@ -299,8 +299,9 @@ class TestStickSchedule:
             assert np.array_equal(m.weights, expected.weights)
             assert np.array_equal(m.labels, expected.labels)
 
-    def test_decay_stays_finite_at_a_subnormal_concentration(self):
-        # no overflow warning, which this suite turns into an error
+    def test_stick_loop_stays_finite_at_a_subnormal_concentration(self):
+        # the stick loop keeps no atom and raises no overflow or invalid-value
+        # warning, which this suite turns into an error
         params = BetaProcessParams(concentration=5e-324, discount=0.0, mass=3.0)
         assert len(sample_three_param_bp(params, cfg(300, 1e-10, 1))) == 0
 

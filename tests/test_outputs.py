@@ -3,11 +3,12 @@
 The digests were taken from the code before the graph containers became
 sorted arrays, the stress-scale ``generate`` digests from the code before
 the draw walked atom pairs in index order, the stress-scale ``extend``
-digests from the code before the zero test moved wholly into the draw, and
-the measure digests from the code before stick breaking kept one Philox
-generator per measure.  A change that alters any of these
-bytes on purpose (a new random stream, a new column) updates the digests here
-and says why.
+digests from the code before the zero test moved wholly into the draw, the
+measure digests from the code before stick breaking kept one Philox
+generator per measure, and the coupled desk sweep's digests from the code
+that first drew each replica's trajectory with ``graphs.grow`` (a new count
+stream).  A change that alters any of these bytes on purpose (a new random
+stream, a new column) updates the digests here and says why.
 """
 
 import hashlib
@@ -24,10 +25,10 @@ from crmgraph.measures import BetaProcessParams, StickBreakingConfig, sample_thr
 SWEEP_FILES = ("fits.csv", "fits.json", "hist.csv", "sweep.csv")
 
 DESK_SEED_0 = {
-    "fits.csv": "5cc6c256c959c65afa5e0162d6d207d37e4112c40cced4ca24a4ba14cdf16031",
-    "fits.json": "1bfaddee3d07bebee8195149f5008d71b2e4af195c2a09f082052075b9b582fd",
-    "hist.csv": "d2e20dacfd55a4c718990a7af3ad6eada3199e7e7a52127644dd45693570c103",
-    "sweep.csv": "6fa69404b94c2cee7f73d3a979c9928ad32086bfaa1797a7468585879ae3d0d8",
+    "fits.csv": "c0211d4f3013d409b4d06fc85d0d12c4e6be76fe91271a05258ce0d4b0b050f3",
+    "fits.json": "5d38c9483011c50bc1546292cf3f1d4f902f4d0ff2670ee74b13b41ed090a265",
+    "hist.csv": "caaccb697da48e86769e206e0238d3d4dd299dcf1f06c2edc479e5ea03be8cac",
+    "sweep.csv": "261ce0a06e6bc4a6d76246d3a6a22509fc211523b941a30e87b32a59a5740d1f",
 }
 
 # Independent mode at discount 0.5: heavy pairs underflow the zero-count pmf
